@@ -134,26 +134,25 @@ _FILL_BUDGET = 30_000_000
 
 
 def _solve_wide(system: LinearSystem) -> list[int] | None:
-    """Feasibility-first strategy for very wide odd-p systems.
+    """Odd-p solve through a ladder of growing column subsets.
 
-    Solves deterministic growing random column subsets: a subsystem solution
-    extends by zeros to the full system, so any hit is final, while subset
-    infeasibility just widens the ladder.  Only a genuinely infeasible
-    system reaches the full width (and then the fill budget fails loudly
-    rather than exhausting memory).
+    Systems of at most _SUBSET_THRESHOLD columns start at full width.  Wider
+    ones solve deterministic growing random column subsets first: a
+    subsystem solution extends by zeros to the full system, so any hit is
+    final, while subset infeasibility just widens the ladder.  Only a
+    genuinely infeasible system reaches the full width, and every rung runs
+    under the fill budget, which fails loudly rather than exhausting memory.
     """
     n_cols = system.n_cols
     rng = random.Random(0)
-    size = int(1.35 * len(system.row_monomials))
+    size = n_cols if n_cols <= _SUBSET_THRESHOLD else int(1.35 * len(system.row_monomials))
     while True:
         if size >= n_cols:
             subset = range(n_cols)
         else:
             subset = sorted(rng.sample(range(n_cols), size))
         entries = [[(r, 1) for r in system.col_rows[j]] for j in subset]
-        x = linalg.solve_sparse(
-            entries, {system.rhs_row: 1}, system.field, entry_budget=_FILL_BUDGET
-        )
+        x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field, _FILL_BUDGET)
         if x is not None:
             full = [0] * n_cols
             for jj, j in enumerate(subset):
@@ -168,15 +167,12 @@ def solve_system(system: LinearSystem) -> dict[tuple[tuple[int, int], Monomial],
     """One solution of the system (nonzero entries only), or None if it is
     inconsistent.  Deterministic: bit-packed dense elimination over GF(2),
     sparse Markowitz-pivot elimination for odd p (through a growing ladder
-    of column subsets beyond _SUBSET_THRESHOLD columns)."""
-    field = system.field
-    if field.p == 2:
+    of column subsets beyond _SUBSET_THRESHOLD columns).  Raises
+    linalg.FillBudgetExceeded when odd-p fill-in passes _FILL_BUDGET."""
+    if system.field.p == 2:
         x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [system.rhs_row])
-    elif system.n_cols > _SUBSET_THRESHOLD:
-        x = _solve_wide(system)
     else:
-        entries = [[(r, 1) for r in rows] for rows in system.col_rows]
-        x = linalg.solve_sparse(entries, {system.rhs_row: 1}, field)
+        x = _solve_wide(system)
     if x is None:
         return None
     return {system.columns[j]: c for j, c in enumerate(x) if c}

@@ -9,9 +9,9 @@ Exit codes: 0 success/true, 1 false or infeasible-as-answer, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import os
 import sys
 
 from .certificates import (
@@ -31,6 +31,7 @@ from .chordal import (
 from .fields import QQ, PrimeField, is_prime
 from .graphs import NotChordalError, ParseError, load_graph, perfect_elimination_order
 from .ideals import build_ideal, field_from_json, field_to_json, graph_from_json, graph_to_json
+from .linalg import FillBudgetExceeded
 from .oracle import (
     OracleBudgetExceeded,
     OracleTooLarge,
@@ -276,6 +277,19 @@ def cmd_verify_cert(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+def _witness_is_large_clique(witness, g, k: int) -> bool:
+    """True iff the witness vertex and its clique are distinct in-range
+    vertices forming a clique of more than k vertices in g."""
+    try:
+        members = [witness["vertex"], *witness["clique"]]
+    except (TypeError, KeyError):
+        return False
+    if not all(type(v) is int and 1 <= v <= g.n for v in members):
+        return False
+    return (len(set(members)) == len(members) > k
+            and all(g.has_edge(u, v) for u, v in itertools.combinations(members, 2)))
+
+
 def cmd_verify_gb(args) -> int:
     data = _read_json_document(args.document)
     try:
@@ -295,6 +309,8 @@ def cmd_verify_gb(args) -> int:
     except (ValueError, KeyError) as exc:
         raise UsageError(f"malformed basis document: {exc}") from exc
     ok = buchberger_criterion(polys, order)
+    if ok and data.get("infeasible"):
+        ok = _witness_is_large_clique(data.get("witness"), g, k)
     if ok:
         ideal = build_ideal(g, k, field)
         for gen in ideal.generators():
@@ -329,12 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="prime field modulus, or 'rational'")
         p.add_argument("--format", choices=["json", "text"], default="json",
                        help="output format (json is the stable interface)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for sampling extensions; current verbs are deterministic")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("CHROMIDEAL_THREADS", "1")),
-                       help="worker threads (results never depend on this; "
-                            "the current implementation is serial)")
 
     p = sub.add_parser("check-chordal", help="test chordality, print an elimination order")
     common(p, needs_k=False)
@@ -393,7 +403,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleTooLarge, OracleBudgetExceeded) as exc:
+    except (OracleTooLarge, OracleBudgetExceeded, FillBudgetExceeded) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:

@@ -162,7 +162,8 @@ class EliminationRecord(NamedTuple):
     clique: frozenset[int]
 
 
-def _adj_is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
+def _adj_is_simplicial(adj, v: int) -> bool:
+    """True iff adj[v] is a clique; adj maps each vertex to its neighbor set."""
     # |N(v) & N(w)| >= d-1 for every neighbor w means N(v) is a clique
     nv = adj[v]
     d = len(nv)
@@ -174,12 +175,8 @@ def _adj_is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
 
 def is_simplicial(g: Graph, v: int) -> bool:
     """True iff the neighborhood of v is a clique."""
-    nv = g.neighbors(v)
-    d = len(nv)
-    for w in nv:
-        if len(nv & g.neighbors(w)) < d - 1:
-            return False
-    return True
+    g.neighbors(v)  # range check
+    return _adj_is_simplicial(g._adj, v)
 
 
 def perfect_elimination_order(g: Graph) -> tuple[EliminationRecord, ...] | None:

@@ -4,13 +4,14 @@ Two solvers for A x = b given column-wise sparse input:
 
 * solve_gf2: dense bit-packed Gauss-Jordan elimination on numpy uint64
   words; leftmost pivot column, first available pivot row.
-* solve_sparse: row-dict elimination over any exact field with
+* solve_sparse: row-dict elimination over GF(p) on canonical ints with
   Markowitz-style pivoting (emptiest active column first, emptiest row
   within it), deterministic tie-breaking by index, and an optional fill
-  budget that fails loudly instead of exhausting memory.
+  budget that raises FillBudgetExceeded instead of exhausting memory.
 
-Both return one solution (free variables set to zero) or None when the
-system is inconsistent, and are deterministic for fixed input.
+Both take each column's rows at most once, return one solution (free
+variables set to zero) or None when the system is inconsistent, and are
+deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -65,61 +66,40 @@ def solve_gf2(
     return x
 
 
+class FillBudgetExceeded(RuntimeError):
+    """Elimination fill-in pushed the stored nonzero count past its budget."""
+
+
 def solve_sparse(
-    col_entries: Sequence[Sequence[tuple[int, object]]],
-    rhs: Mapping[int, object],
-    field,
+    col_entries: Sequence[Sequence[tuple[int, int]]],
+    rhs: Mapping[int, int],
+    field: PrimeField,
     entry_budget: int | None = None,
-) -> list | None:
-    """Solve over any exact field; rows are arbitrary hashable indices.
+) -> list[int] | None:
+    """Solve over GF(p).  Columns are given by (row, coefficient) pairs with
+    each row listed at most once; rows are arbitrary hashable indices.
 
     Rows never touched by a column are the equations 0 = rhs, so a nonzero
     rhs on such a row makes the system inconsistent immediately.  When
-    entry_budget is set, elimination raises RuntimeError as soon as fill-in
-    pushes the stored nonzero count past it.
+    entry_budget is set, elimination raises FillBudgetExceeded as soon as
+    fill-in pushes the stored nonzero count past it.
     """
-    zero = field.zero
-    if isinstance(field, PrimeField):
-        p = field.p
-
-        def submul(a, f, v):
-            return (a - f * v) % p
-
-        def inv(a):
-            return pow(a, p - 2, p)
-
-        def mul(a, b):
-            return (a * b) % p
-
-    else:
-        def submul(a, f, v):
-            return field.sub(a, field.mul(f, v))
-
-        inv = field.inv
-        mul = field.mul
-
-    rows: dict[int, dict[int, object]] = {}
+    p = field.p
+    rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     nonzeros = 0
     for j, entries in enumerate(col_entries):
         members = set()
-        for i, c in enumerate_nonzero(entries, field):
-            rows.setdefault(i, {})
-            cur = rows[i].get(j, zero)
-            cur = field.add(cur, c)
-            if field.is_zero(cur):
-                if rows[i].pop(j, None) is not None:
-                    nonzeros -= 1
-                members.discard(i)
-            else:
-                if j not in rows[i]:
-                    nonzeros += 1
-                rows[i][j] = cur
+        for i, c in entries:
+            c %= p
+            if c:
+                rows.setdefault(i, {})[j] = c
                 members.add(i)
+        nonzeros += len(members)
         col_rows[j] = members
 
-    rhs_d = {i: field.element(c) for i, c in rhs.items() if not field.is_zero(field.element(c))}
-    for i in list(rhs_d):
+    rhs_d = {i: c % p for i, c in rhs.items() if c % p}
+    for i in rhs_d:
         if not rows.get(i):
             return None  # equation 0 = nonzero
 
@@ -136,16 +116,15 @@ def solve_sparse(
         if j in done_cols or not members or len(members) != count:
             continue
         i = min(members, key=lambda r: (len(rows[r]), r))
-        piv_val = rows[i][j]
-        piv_inv = inv(piv_val)
         piv_row = rows[i]
-        piv_rhs = rhs_d.get(i, zero)
+        piv_inv = pow(piv_row[j], p - 2, p)
+        piv_rhs = rhs_d.get(i, 0)
         for r in [r for r in members if r != i]:
-            factor = mul(rows[r][j], piv_inv)
+            factor = rows[r][j] * piv_inv % p
             target = rows[r]
             for c, v in piv_row.items():
-                nv = submul(target.get(c, zero), factor, v)
-                if field.is_zero(nv):
+                nv = (target.get(c, 0) - factor * v) % p
+                if not nv:
                     if c in target:
                         del target[c]
                         nonzeros -= 1
@@ -161,12 +140,12 @@ def solve_sparse(
                         if c not in done_cols:
                             heapq.heappush(heap, (len(cr), c))
                     target[c] = nv
-            if not field.is_zero(piv_rhs):
-                nr = submul(rhs_d.get(r, zero), factor, piv_rhs)
-                if field.is_zero(nr):
-                    rhs_d.pop(r, None)
-                else:
+            if piv_rhs:
+                nr = (rhs_d.get(r, 0) - factor * piv_rhs) % p
+                if nr:
                     rhs_d[r] = nr
+                else:
+                    rhs_d.pop(r, None)
             if not target:
                 if r in rhs_d:
                     return None  # row collapsed to 0 = nonzero
@@ -182,25 +161,18 @@ def solve_sparse(
         done_cols.add(j)
         pivots.append((i, j))
         if entry_budget is not None and nonzeros > entry_budget:
-            raise RuntimeError(f"elimination fill-in exceeded {entry_budget} entries")
+            raise FillBudgetExceeded(f"elimination fill-in exceeded {entry_budget} entries")
 
     # remaining active rows are empty; back-substitute with free columns at 0
-    x: dict[int, object] = {}
+    x: dict[int, int] = {}
     for i, j in reversed(pivots):
-        s = rhs_d.get(i, zero)
+        s = rhs_d.get(i, 0)
         row = rows[i]
         for c, v in row.items():
             if c == j:
                 continue
             xc = x.get(c)
             if xc is not None:
-                s = submul(s, v, xc)
-        x[j] = mul(s, inv(row[j]))
-    return [x.get(j, zero) for j in range(len(col_entries))]
-
-
-def enumerate_nonzero(entries, field):
-    for i, c in entries:
-        cc = field.element(c)
-        if not field.is_zero(cc):
-            yield i, cc
+                s = (s - v * xc) % p
+        x[j] = s * pow(row[j], p - 2, p) % p
+    return [x.get(j, 0) for j in range(len(col_entries))]

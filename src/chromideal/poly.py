@@ -52,12 +52,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not self.exps
 
-    def exponent(self, v: int) -> int:
-        for var, e in self.exps:
-            if var == v:
-                return e
-        return 0
-
     def vars(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.exps)
 
@@ -146,10 +140,6 @@ class TermOrder:
     def ranks(self) -> dict[int, int]:
         return dict(self._rank)
 
-    @property
-    def variables_desc(self) -> tuple[int, ...]:
-        return self._vars_desc
-
     def sort_key(self, m: Monomial):
         exps = m.as_dict()
         for v in exps:
@@ -159,9 +149,6 @@ class TermOrder:
         if self.kind == LEX:
             return vec
         return (m.degree,) + vec
-
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.sort_key(a) > self.sort_key(b)
 
     def __eq__(self, other) -> bool:
         return (
@@ -223,9 +210,6 @@ class Polynomial:
         for m in self.terms:
             seen.update(m.vars())
         return tuple(sorted(seen))
-
-    def coefficient(self, m: Monomial):
-        return self.terms.get(m, self.field.zero)
 
     def _check_field(self, other: "Polynomial"):
         if other.field != self.field:

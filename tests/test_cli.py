@@ -168,6 +168,42 @@ def test_verify_gb_accepts_infeasible_document(capsys, k4, tmp_path):
     assert code == 0 and verdict["valid"] is True
 
 
+@pytest.mark.parametrize(
+    "witness",
+    [
+        None,
+        {"vertex": 1, "clique": [2, 3]},  # a clique, but only k vertices
+        {"vertex": 1, "clique": [2, 2, 3]},
+        {"vertex": 1, "clique": [2, 3, 4]},  # vertex 4 is not in the graph
+        {"vertex": 1},
+        "1 2 3",
+    ],
+)
+def test_verify_gb_rejects_forged_infeasible_document(capsys, witness, tmp_path):
+    """The 3-colorable triangle dressed up as infeasible with basis {1}."""
+    doc = {
+        "version": 1, "kind": "groebner_basis", "field": {"kind": "rational"},
+        "k": 3, "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
+        "chordal": True, "infeasible": True, "basis": ["1"], "order": None,
+        "elimination": None, "dimension": 0, "coloring": None, "witness": witness,
+    }
+    doc_path = tmp_path / "gb.json"
+    doc_path.write_text(json.dumps(doc))
+    code, verdict = run_json(capsys, "verify-gb", str(doc_path))
+    assert code == 1 and verdict["valid"] is False
+
+
+def test_cert_fill_budget_exits_3(capsys, k4, monkeypatch):
+    import chromideal.certificates as certs
+
+    monkeypatch.setattr(certs, "_FILL_BUDGET", 1)
+    code = main(["cert", "--k", "3", "--p", "7", k4])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "computation error:" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_2(capsys, triangle, tmp_path):
     assert main(["gb", "--k", "1", triangle]) == 2
     assert main(["gb", "--k", "3", "--p", "6", triangle]) == 2
