@@ -40,6 +40,11 @@ class InvalidCertificate(ValueError):
     """The coefficients do not combine to the constant 1."""
 
 
+def _degree_bound(k: int, d_max: int | None) -> int:
+    """The search bound: d_max, or 3k + 1 when it is None."""
+    return 3 * k + 1 if d_max is None else d_max
+
+
 def admissible_degrees(k: int, d_max: int) -> list[int]:
     """Degrees at which an edge-coefficient certificate can exist: congruent
     to 1 mod k, starting at 1 for k in {2, 3} and at k + 1 for larger k."""
@@ -130,7 +135,10 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int) -> LinearSystem
 
 
 _SUBSET_THRESHOLD = 100_000
-_FILL_BUDGET = 30_000_000
+# Stored nonzeros allowed during one odd-p elimination.  Measured at 430-620
+# bytes per stored entry, 8 M entries is about 4.9 GB, so the budget trips
+# before the process runs out of memory on an 8 GB machine.
+_FILL_BUDGET = 8_000_000
 
 
 def _solve_wide(system: LinearSystem) -> list[int] | None:
@@ -231,10 +239,8 @@ def search_certificate(
     may be k-colorable, or d_max too small -- this search does not decide).
     """
     _check_characteristic(field, k)
-    if d_max is None:
-        d_max = 3 * k + 1
     infeasible: list[int] = []
-    for d in admissible_degrees(k, d_max):
+    for d in admissible_degrees(k, _degree_bound(k, d_max)):
         system = assemble_system(g, k, field, d)
         solution = solve_system(system)
         if progress is not None:
@@ -335,7 +341,7 @@ def lift_certificate(cert: Certificate, g: Graph, k: int) -> Certificate:
 # --- JSON interchange --------------------------------------------------------
 
 def certificate_to_json_dict(cert: Certificate, g: Graph) -> dict:
-    out = {
+    return {
         "version": 1,
         "kind": "certificate",
         "field": field_to_json(cert.field),
@@ -351,7 +357,23 @@ def certificate_to_json_dict(cert: Certificate, g: Graph) -> dict:
         else {str(v): render(p) for v, p in sorted(cert.vertex_coeffs.items())},
         "infeasible_degrees": list(cert.infeasible_degrees),
     }
-    return out
+
+
+def certificate_search_to_json_dict(g: Graph, k: int, field: PrimeField,
+                                    d_max: int | None = None) -> dict:
+    """The document of a search that found no certificate up to d_max
+    (default 3k + 1): every admissible degree is infeasible."""
+    d_max = _degree_bound(k, d_max)
+    return {
+        "version": 1,
+        "kind": "certificate_search",
+        "field": field_to_json(field),
+        "k": k,
+        "graph": graph_to_json(g),
+        "certificate": None,
+        "d_max": d_max,
+        "infeasible_degrees": admissible_degrees(k, d_max),
+    }
 
 
 def certificate_from_json_dict(data: Mapping) -> tuple[Certificate, Graph]:
@@ -366,17 +388,8 @@ def certificate_from_json_dict(data: Mapping) -> tuple[Certificate, Graph]:
     for key, text in data["edge_coefficients"].items():
         u, v = sorted(int(x) for x in key.split("-"))
         edge_coeffs[(u, v)] = parse_poly(text, field)
-    vertex_coeffs = None
-    if data.get("vertex_coefficients") is not None:
-        vertex_coeffs = {
-            int(v): parse_poly(text, field)
-            for v, text in data["vertex_coefficients"].items()
-        }
-    cert = Certificate(
-        field,
-        k,
-        edge_coeffs,
-        vertex_coeffs,
-        tuple(data.get("infeasible_degrees", ())),
-    )
-    return cert, g
+    vertex_coeffs = data.get("vertex_coefficients")
+    if vertex_coeffs is not None:
+        vertex_coeffs = {int(v): parse_poly(text, field) for v, text in vertex_coeffs.items()}
+    infeasible = tuple(data.get("infeasible_degrees", ()))
+    return Certificate(field, k, edge_coeffs, vertex_coeffs, infeasible), g

@@ -95,7 +95,7 @@ def quotient_dimension(result: BasisResult, k: int) -> int:
     Zero when the result is infeasible."""
     if result.infeasible:
         return 0
-    return math.prod(k - len(rec.clique) for rec in result.basis.peo)
+    return count_along_order(result.basis.peo, k)
 
 
 def extract_coloring(result: BasisResult, k: int) -> dict[int, int] | None:
@@ -111,6 +111,12 @@ def extract_coloring(result: BasisResult, k: int) -> dict[int, int] | None:
     return coloring
 
 
+def count_along_order(peo: tuple[EliminationRecord, ...], k: int) -> int:
+    """Product of the color choices k - |U| along an elimination order; zero
+    when some clique has k or more members."""
+    return math.prod(max(k - len(rec.clique), 0) for rec in peo)
+
+
 def count_colorings_chordal(g: Graph, k: int) -> int:
     """Exact number of proper k-colorings of a chordal graph, as the product
     of per-vertex color choices along a perfect elimination order."""
@@ -119,10 +125,4 @@ def count_colorings_chordal(g: Graph, k: int) -> int:
     peo = perfect_elimination_order(g)
     if peo is None:
         raise NotChordalError("graph is not chordal")
-    count = 1
-    for rec in peo:
-        choices = k - len(rec.clique)
-        if choices <= 0:
-            return 0
-        count *= choices
-    return count
+    return count_along_order(peo, k)

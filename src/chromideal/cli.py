@@ -11,26 +11,41 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 
 from .certificates import (
-    admissible_degrees,
     certificate_from_json_dict,
+    certificate_search_to_json_dict,
     certificate_to_json_dict,
     lift_certificate,
     search_certificate,
     verify_certificate,
 )
 from .chordal import (
+    basis_polynomial,
     build_groebner_basis,
+    count_along_order,
     count_colorings_chordal,
+    elimination_term_order,
     extract_coloring,
     quotient_dimension,
 )
-from .fields import QQ, PrimeField, is_prime
-from .graphs import NotChordalError, ParseError, load_graph, perfect_elimination_order
-from .ideals import build_ideal, field_from_json, field_to_json, graph_from_json, graph_to_json
+from .fields import QQ, PrimeField
+from .graphs import (
+    EliminationRecord,
+    NotChordalError,
+    ParseError,
+    load_graph,
+    perfect_elimination_order,
+)
+from .ideals import (
+    build_ideal,
+    check_coloring,
+    field_from_json,
+    field_to_json,
+    graph_from_json,
+    graph_to_json,
+)
 from .linalg import FillBudgetExceeded
 from .oracle import (
     OracleBudgetExceeded,
@@ -61,7 +76,7 @@ def _emit(args, payload: dict, text: str):
 
 def _load(args):
     try:
-        return load_graph(args.graph, args.input_format)
+        return load_graph(args.graph)
     except OSError as exc:
         raise UsageError(f"cannot read {args.graph}: {exc}") from exc
     except ParseError as exc:
@@ -75,16 +90,13 @@ def _field(args):
         p = int(args.p)
     except ValueError:
         raise UsageError(f"--p must be a prime or 'rational', got {args.p!r}") from None
-    if not is_prime(p):
-        raise UsageError(f"--p must be prime, got {p}")
     return PrimeField(p)
 
 
-def _check_command(args, field):
-    if args.k < 2:
-        raise UsageError("--k must be at least 2")
-    if field.char != 0 and math.gcd(field.char, args.k) != 1:
-        raise UsageError(f"field characteristic {field.char} and k={args.k} must be coprime")
+def _colors(text: str) -> int:
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
+    return int(text)
 
 
 def _read_json_document(path: str) -> dict:
@@ -99,6 +111,10 @@ def _read_json_document(path: str) -> dict:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _record_to_json(rec: EliminationRecord) -> dict:
+    return {"vertex": rec.vertex, "clique": sorted(rec.clique)}
+
+
 # --- verbs -------------------------------------------------------------------
 
 def cmd_check_chordal(args) -> int:
@@ -109,9 +125,7 @@ def cmd_check_chordal(args) -> int:
         "kind": "chordality",
         "graph": graph_to_json(g),
         "chordal": peo is not None,
-        "elimination": None
-        if peo is None
-        else [{"vertex": r.vertex, "clique": sorted(r.clique)} for r in peo],
+        "elimination": None if peo is None else [_record_to_json(r) for r in peo],
     }
     _emit(args, payload, "chordal" if peo is not None else "not chordal")
     return EXIT_OK if peo is not None else EXIT_NEGATIVE
@@ -125,21 +139,14 @@ def basis_result_to_json(result, g, k, field) -> dict:
         "k": k,
         "graph": graph_to_json(g),
         "chordal": result is not None,
+        "infeasible": None, "basis": None, "order": None, "elimination": None,
+        "dimension": None, "coloring": None, "witness": None,
     }
     if result is None:
-        payload.update(infeasible=None, basis=None, order=None, elimination=None,
-                       dimension=None, coloring=None, witness=None)
         return payload
     if result.infeasible:
-        payload.update(
-            infeasible=True,
-            basis=["1"],
-            order=None,
-            elimination=None,
-            dimension=0,
-            coloring=None,
-            witness={"vertex": result.witness.vertex, "clique": sorted(result.witness.clique)},
-        )
+        payload.update(infeasible=True, basis=["1"], dimension=0,
+                       witness=_record_to_json(result.witness))
         return payload
     basis = result.basis
     payload.update(
@@ -147,17 +154,15 @@ def basis_result_to_json(result, g, k, field) -> dict:
         basis=[render(p, basis.order) for p in basis.polys],
         order={"kind": basis.order.kind,
                "ranks": {str(v): r for v, r in sorted(basis.order.ranks.items())}},
-        elimination=[{"vertex": r.vertex, "clique": sorted(r.clique)} for r in basis.peo],
+        elimination=[_record_to_json(r) for r in basis.peo],
         dimension=quotient_dimension(result, k),
         coloring={str(v): c for v, c in sorted(extract_coloring(result, k).items())},
-        witness=None,
     )
     return payload
 
 
 def cmd_gb(args) -> int:
     field = _field(args)
-    _check_command(args, field)
     g = _load(args)
     result = build_groebner_basis(g, args.k, field)
     payload = basis_result_to_json(result, g, args.k, field)
@@ -182,26 +187,22 @@ def cmd_gb(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _check_command(args, QQ)
     g = _load(args)
     try:
         n = count_colorings_chordal(g, args.k)
     except NotChordalError:
-        _emit(args, {"version": JSON_VERSION, "kind": "count", "chordal": False,
-                     "k": args.k, "colorings": None}, "not chordal")
-        return EXIT_NEGATIVE
-    if args.oracle:
+        n = None
+    if n is not None and args.oracle:
         check = brute_force_colorings(g, args.k).count
         if check != n:
             print(f"oracle cross-check failed: {n} != brute-force {check}", file=sys.stderr)
             return EXIT_COMPUTE
-    _emit(args, {"version": JSON_VERSION, "kind": "count", "chordal": True,
-                 "k": args.k, "colorings": n}, str(n))
-    return EXIT_OK
+    _emit(args, {"version": JSON_VERSION, "kind": "count", "chordal": n is not None,
+                 "k": args.k, "colorings": n}, "not chordal" if n is None else str(n))
+    return EXIT_NEGATIVE if n is None else EXIT_OK
 
 
 def cmd_oracle_count(args) -> int:
-    _check_command(args, QQ)
     g = _load(args)
     n = brute_force_colorings(g, args.k).count
     _emit(args, {"version": JSON_VERSION, "kind": "count", "method": "brute-force",
@@ -210,23 +211,18 @@ def cmd_oracle_count(args) -> int:
 
 
 def cmd_color(args) -> int:
-    _check_command(args, QQ)
     g = _load(args)
     result = build_groebner_basis(g, args.k, QQ)
-    if result is None:
-        _emit(args, {"version": JSON_VERSION, "kind": "coloring", "k": args.k,
-                     "chordal": False, "coloring": None}, "not chordal")
-        return EXIT_NEGATIVE
-    coloring = extract_coloring(result, args.k)
+    coloring = None if result is None else extract_coloring(result, args.k)
     payload = {
         "version": JSON_VERSION,
         "kind": "coloring",
         "k": args.k,
-        "chordal": True,
+        "chordal": result is not None,
         "coloring": None if coloring is None else {str(v): c for v, c in sorted(coloring.items())},
     }
     if coloring is None:
-        _emit(args, payload, "no coloring")
+        _emit(args, payload, "not chordal" if result is None else "no coloring")
         return EXIT_NEGATIVE
     _emit(args, payload, " ".join(f"{v}={coloring[v]}" for v in g.vertices))
     return EXIT_OK
@@ -236,24 +232,13 @@ def cmd_cert(args) -> int:
     field = _field(args)
     if not isinstance(field, PrimeField):
         raise UsageError("cert requires a prime field (--p P)")
-    _check_command(args, field)
     g = _load(args)
-    d_max = args.d_max if args.d_max is not None else 3 * args.k + 1
     cert = search_certificate(
-        g, args.k, field, d_max, progress=lambda line: print(line, file=sys.stderr)
+        g, args.k, field, args.d_max, progress=lambda line: print(line, file=sys.stderr)
     )
     if cert is None:
-        payload = {
-            "version": JSON_VERSION,
-            "kind": "certificate_search",
-            "field": field_to_json(field),
-            "k": args.k,
-            "graph": graph_to_json(g),
-            "certificate": None,
-            "d_max": d_max,
-            "infeasible_degrees": admissible_degrees(args.k, d_max),
-        }
-        _emit(args, payload, f"no certificate up to degree {d_max} "
+        payload = certificate_search_to_json_dict(g, args.k, field, args.d_max)
+        _emit(args, payload, f"no certificate up to degree {payload['d_max']} "
                              "(graph may be colorable, or the bound too small)")
         return EXIT_NEGATIVE
     if args.lift:
@@ -268,10 +253,9 @@ def cmd_verify_cert(args) -> int:
     data = _read_json_document(args.document)
     try:
         cert, g = certificate_from_json_dict(data)
-        ideal = build_ideal(g, cert.k, cert.field)
-        ok = verify_certificate(cert, ideal)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed certificate document: {exc}") from exc
+    ok = verify_certificate(cert, build_ideal(g, cert.k, cert.field))
     _emit(args, {"version": JSON_VERSION, "kind": "verification", "valid": ok},
           "valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -290,6 +274,32 @@ def _witness_is_large_clique(witness, g, k: int) -> bool:
             and all(g.has_edge(u, v) for u, v in itertools.combinations(members, 2)))
 
 
+def _feasible_claim_holds(data: dict, g, k: int, field, polys, order) -> bool:
+    """True iff `elimination` is a perfect elimination order of g whose
+    cliques have fewer than k members, the order, basis and dimension are
+    the ones it determines (the elimination term order, one construction
+    polynomial per record, the product of the color choices), and
+    `coloring` is a proper coloring of g."""
+    try:
+        vertices = [rec["vertex"] for rec in data["elimination"]]
+        coloring = {int(v): c for v, c in data["coloring"].items()}
+        proper = len(coloring) == g.n and check_coloring(g, k, coloring)
+    except (TypeError, KeyError, AttributeError, ValueError):
+        return False
+    if not all(type(v) is int for v in vertices) or sorted(vertices) != list(g.vertices):
+        return False
+    position = {v: i for i, v in enumerate(vertices)}
+    peo = [EliminationRecord(v, frozenset(w for w in g.neighbors(v) if position[w] > position[v]))
+           for v in vertices]
+    return (proper
+            and data["elimination"] == [_record_to_json(rec) for rec in peo]
+            and all(len(rec.clique) < k for rec in peo)
+            and all(g.has_edge(u, w) for rec in peo for u, w in itertools.combinations(rec.clique, 2))
+            and order == elimination_term_order(peo)
+            and polys == [basis_polynomial(rec, k, field) for rec in peo]
+            and data.get("dimension") == count_along_order(peo, k))
+
+
 def cmd_verify_gb(args) -> int:
     data = _read_json_document(args.document)
     try:
@@ -306,18 +316,14 @@ def cmd_verify_gb(args) -> int:
         else:
             ranks = {int(v): int(r) for v, r in data["order"]["ranks"].items()}
             order = TermOrder(data["order"]["kind"], ranks)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed basis document: {exc}") from exc
-    ok = buchberger_criterion(polys, order)
-    if ok and data.get("infeasible"):
+    if data.get("infeasible"):
         ok = _witness_is_large_clique(data.get("witness"), g, k)
-    if ok:
-        ideal = build_ideal(g, k, field)
-        for gen in ideal.generators():
-            _, r = normal_form(gen, polys, order)
-            if not r.is_zero:
-                ok = False
-                break
+    else:
+        ok = _feasible_claim_holds(data, g, k, field, polys, order)
+    ok = ok and buchberger_criterion(polys, order) and all(
+        normal_form(gen, polys, order)[1].is_zero for gen in build_ideal(g, k, field).generators())
     _emit(args, {"version": JSON_VERSION, "kind": "verification", "valid": ok},
           "valid" if ok else "invalid")
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -336,10 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, graph=True, needs_k=True, field_default=None):
         if graph:
             p.add_argument("graph", help="graph file (DIMACS .col or 'u v' edge list)")
-            p.add_argument("--input-format", choices=["auto", "dimacs", "edges"],
-                           default="auto", help="graph file format (default: sniffed)")
         if needs_k:
-            p.add_argument("--k", type=int, required=True, help="number of colors (>= 2)")
+            p.add_argument("--k", type=_colors, required=True, help="number of colors (>= 2)")
         if field_default is not None:
             p.add_argument("--p", default=field_default,
                            help="prime field modulus, or 'rational'")
@@ -405,6 +409,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OracleTooLarge, OracleBudgetExceeded, FillBudgetExceeded) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError:
+        print("computation error: out of memory", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,9 +45,6 @@ class Graph:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors(u)
 
@@ -137,24 +134,18 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def load_graph(path: str, fmt: str = "auto") -> Graph:
-    """Read a graph file; fmt is 'dimacs', 'edges', or 'auto' (sniffed)."""
+def load_graph(path: str) -> Graph:
+    """Read a graph file: DIMACS when its first line that is neither blank nor
+    a '#' comment starts with 'c', 'p' or 'e', otherwise an edge list."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if fmt == "auto":
-        fmt = "edges"
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.split()[0] in ("c", "p", "e"):
-                fmt = "dimacs"
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if line[0] in "cpe":
+                return parse_dimacs(text)
             break
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    if fmt == "edges":
-        return parse_edge_list(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return parse_edge_list(text)
 
 
 class EliminationRecord(NamedTuple):
@@ -225,9 +216,7 @@ def random_chordal(n: int, k_max_clique: int, seed: int) -> Graph:
             start = rng.randint(1, v - 1)
             clique = {start}
             while len(clique) < size:
-                common = set(range(1, v)) - clique
-                for u in clique:
-                    common &= adj[u]
+                common = set.intersection(*(adj[u] for u in clique)) - clique
                 if not common:
                     break
                 clique.add(rng.choice(sorted(common)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graphs import Graph
-from .poly import MONOMIAL_ONE, Monomial, Polynomial, render
+from .poly import MONOMIAL_ONE, Monomial, Polynomial
 
 
 class CharacteristicDividesK(ValueError):
@@ -51,17 +51,6 @@ class ColoringIdeal:
 
     def generators(self) -> list[Polynomial]:
         return list(self.vertex_polys) + [self.edge_polys[e] for e in sorted(self.edge_polys)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": 1,
-            "kind": "coloring_ideal",
-            "field": field_to_json(self.field),
-            "k": self.k,
-            "graph": graph_to_json(self.graph),
-            "vertex_polys": {str(v): render(p) for v, p in zip(self.graph.vertices, self.vertex_polys)},
-            "edge_polys": {f"{u}-{v}": render(p) for (u, v), p in sorted(self.edge_polys.items())},
-        }
 
 
 def build_ideal(g: Graph, k: int, field) -> ColoringIdeal:

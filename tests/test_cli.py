@@ -193,6 +193,56 @@ def test_verify_gb_rejects_forged_infeasible_document(capsys, witness, tmp_path)
     assert code == 1 and verdict["valid"] is False
 
 
+def _swap_first_records(doc):
+    doc["elimination"][:2] = doc["elimination"][1::-1]
+
+
+def _point_basis(doc):
+    doc["basis"] = ["x1 + 6", "x2 + 5", "x3 + 3"]  # the single coloring (1, 2, 4)
+
+
+def _dimension_off_by_one(doc):
+    doc["dimension"] += 1
+
+
+@pytest.mark.parametrize("forge", [_point_basis, _swap_first_records, _dimension_off_by_one])
+def test_verify_gb_rejects_forged_feasible_document(capsys, triangle, tmp_path, forge):
+    code, doc = run_json(capsys, "gb", "--k", "3", "--p", "7", triangle)
+    assert code == 0
+    forge(doc)
+    doc_path = tmp_path / "gb.json"
+    doc_path.write_text(json.dumps(doc))
+    code, verdict = run_json(capsys, "verify-gb", str(doc_path))
+    assert code == 1 and verdict["valid"] is False
+
+
+@pytest.mark.parametrize(
+    "verb,malform",
+    [
+        ("verify-gb", lambda doc: [doc]),
+        ("verify-gb", lambda doc: {**doc, "order": None}),
+        ("verify-gb", lambda doc: {**doc, "graph": {"n": 4, "edges": [1]}}),
+        ("verify-gb", lambda doc: {**doc, "field": None}),
+        ("verify-gb", lambda doc: {**doc, "basis": [5]}),
+        ("verify-cert", lambda doc: [doc]),
+        ("verify-cert", lambda doc: {**doc, "edge_coefficients": []}),
+    ],
+    ids=["gb-array", "gb-null-order", "gb-int-edge", "gb-null-field", "gb-int-poly",
+         "cert-array", "cert-list-coefficients"],
+)
+def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
+    source = ["gb", "--k", "4"] if verb == "verify-gb" else ["cert", "--k", "3", "--p", "7"]
+    code, doc = run_json(capsys, *source, k4)
+    assert code == 0
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(malform(doc)))
+    code = main([verb, str(doc_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_cert_fill_budget_exits_3(capsys, k4, monkeypatch):
     import chromideal.certificates as certs
 
@@ -201,6 +251,20 @@ def test_cert_fill_budget_exits_3(capsys, k4, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert "computation error:" in captured.err
+    assert captured.out == ""
+
+
+def test_cert_memory_error_exits_3(capsys, k4, monkeypatch):
+    import chromideal.linalg
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(chromideal.linalg, "solve_sparse", exhausted)
+    code = main(["cert", "--k", "3", "--p", "7", k4])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "computation error: out of memory" in captured.err
     assert captured.out == ""
 
 

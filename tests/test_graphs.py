@@ -8,6 +8,7 @@ from chromideal.graphs import (
     complete_graph,
     is_chordal,
     is_simplicial,
+    load_graph,
     parse_dimacs,
     parse_edge_list,
     perfect_elimination_order,
@@ -41,6 +42,22 @@ def test_parse_dimacs_comments_and_duplicates():
 def test_parse_dimacs_isolated_vertices():
     g = parse_dimacs("p edge 4 0\n")
     assert g.n == 4 and g.edges() == []
+
+
+@pytest.mark.parametrize(
+    "text,edges",
+    [
+        ("comment first\np edge 3 1\ne 1 3\n", [(1, 3)]),
+        ("\n  p edge 2 1\n  e 1 2\n", [(1, 2)]),
+        ("# note\n1 3\n", [(1, 3)]),
+        ("", []),
+        ("# only a comment\n", []),
+    ],
+)
+def test_load_graph_sniffs_format(tmp_path, text, edges):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert load_graph(str(path)).edges() == edges
 
 
 def test_parse_dimacs_self_loop_reports_line():
@@ -208,3 +225,12 @@ def test_random_chordal_kmax2_is_tree(seed):
 def test_random_chordal_deterministic_per_seed():
     assert random_chordal(8, 3, 5) == random_chordal(8, 3, 5)
     assert random_chordal(8, 3, 5) != random_chordal(8, 3, 6)
+
+
+def test_random_chordal_pinned_outputs():
+    """Benchmark inputs are built by this generator, so its output is fixed."""
+    assert random_chordal(8, 3, 5).edges() == [
+        (1, 2), (2, 3), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7), (5, 8)]
+    assert random_chordal(10, 4, 2).edges() == [
+        (1, 2), (1, 6), (1, 7), (2, 3), (2, 6), (2, 7), (3, 4), (3, 5), (3, 8), (3, 9),
+        (4, 5), (4, 8), (4, 9), (4, 10), (5, 8), (5, 9), (6, 7), (8, 10)]

@@ -135,14 +135,3 @@ def test_generators_vanish_exactly_on_proper_colorings(graph, k):
         point = {v: roots[c] for v, c in coloring.items()}
         vanishes = all(g.evaluate(point) == 0 for g in ideal.generators())
         assert vanishes == check_coloring(graph, k, coloring)
-
-
-def test_ideal_json_round_trips_generators():
-    ideal = build_ideal(complete_graph(3), 3, GF(7))
-    doc = ideal.to_json_dict()
-    assert doc["kind"] == "coloring_ideal"
-    for key, text in doc["vertex_polys"].items():
-        assert parse_poly(text, GF(7)) == mk_vertex_poly(int(key), 3, GF(7))
-    for key, text in doc["edge_polys"].items():
-        u, v = map(int, key.split("-"))
-        assert parse_poly(text, GF(7)) == mk_edge_poly(u, v, 3, GF(7))
