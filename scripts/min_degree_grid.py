@@ -29,10 +29,7 @@ def dimacs_clique(n: int) -> str:
 
 
 def run_cell(graph_path: str, k: int, p: int) -> tuple[str, float]:
-    cmd = [
-        sys.executable, "-m", "chromideal", "cert",
-        graph_path, "--k", str(k), "--p", str(p), "--d-max", str(3 * k + 1),
-    ]
+    cmd = [sys.executable, "-m", "chromideal", "cert", graph_path, "--k", str(k), "--p", str(p)]
     start = time.monotonic()
     proc = subprocess.run(cmd, capture_output=True, text=True)
     elapsed = time.monotonic() - start

@@ -204,6 +204,8 @@ class Certificate:
     infeasible_degrees: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("certificates need k >= 2")
         for e, beta in self.edge_coeffs.items():
             for m in beta.terms:
                 if m.degree % self.k != 1 % self.k:
@@ -387,6 +389,8 @@ def certificate_from_json_dict(data: Mapping) -> tuple[Certificate, Graph]:
     edge_coeffs = {}
     for key, text in data["edge_coefficients"].items():
         u, v = sorted(int(x) for x in key.split("-"))
+        if (u, v) in edge_coeffs:
+            raise ValueError(f"edge {u}-{v} is named twice")
         edge_coeffs[(u, v)] = parse_poly(text, field)
     vertex_coeffs = data.get("vertex_coefficients")
     if vertex_coeffs is not None:

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Verbs: check-chordal, gb, count, color, cert, verify-cert, verify-gb,
-oracle-count.  JSON output (the stable interface) or a loose text form.
-Exit codes: 0 success/true, 1 false or infeasible-as-answer, 2 usage error,
-3 computation error.
+oracle-count.  Each verb prints exactly one JSON document on stdout; the
+verifier verbs (verify-gb, verify-cert, oracle-count) check what the others
+emit.  Exit codes: 0 success/true, 1 false or infeasible-as-answer, 2 usage
+error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .ideals import (
 )
 from .linalg import FillBudgetExceeded
 from .oracle import (
-    OracleBudgetExceeded,
     OracleTooLarge,
     brute_force_colorings,
     buchberger_criterion,
@@ -67,11 +67,8 @@ class UsageError(Exception):
     pass
 
 
-def _emit(args, payload: dict, text: str):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _emit(payload: dict):
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _load(args):
@@ -120,14 +117,13 @@ def _record_to_json(rec: EliminationRecord) -> dict:
 def cmd_check_chordal(args) -> int:
     g = _load(args)
     peo = perfect_elimination_order(g)
-    payload = {
+    _emit({
         "version": JSON_VERSION,
         "kind": "chordality",
         "graph": graph_to_json(g),
         "chordal": peo is not None,
         "elimination": None if peo is None else [_record_to_json(r) for r in peo],
-    }
-    _emit(args, payload, "chordal" if peo is not None else "not chordal")
+    })
     return EXIT_OK if peo is not None else EXIT_NEGATIVE
 
 
@@ -165,25 +161,8 @@ def cmd_gb(args) -> int:
     field = _field(args)
     g = _load(args)
     result = build_groebner_basis(g, args.k, field)
-    payload = basis_result_to_json(result, g, args.k, field)
-    if result is None:
-        _emit(args, payload, "not chordal")
-        return EXIT_NEGATIVE
-    if args.oracle and not result.infeasible:
-        if not buchberger_criterion(result.basis.polys, result.basis.order):
-            print("oracle cross-check failed: S-pair criterion", file=sys.stderr)
-            return EXIT_COMPUTE
-    if result.infeasible:
-        _emit(args, payload, f"infeasible: vertex {result.witness.vertex} has "
-                             f"{len(result.witness.clique)} clique neighbors (k={args.k})")
-        return EXIT_NEGATIVE
-    text = "\n".join(
-        [f"basis ({len(result.basis.polys)} polynomials):"]
-        + [f"  {render(p, result.basis.order)}" for p in result.basis.polys]
-        + [f"dimension: {payload['dimension']}"]
-    )
-    _emit(args, payload, text)
-    return EXIT_OK
+    _emit(basis_result_to_json(result, g, args.k, field))
+    return EXIT_NEGATIVE if result is None or result.infeasible else EXIT_OK
 
 
 def cmd_count(args) -> int:
@@ -192,21 +171,16 @@ def cmd_count(args) -> int:
         n = count_colorings_chordal(g, args.k)
     except NotChordalError:
         n = None
-    if n is not None and args.oracle:
-        check = brute_force_colorings(g, args.k).count
-        if check != n:
-            print(f"oracle cross-check failed: {n} != brute-force {check}", file=sys.stderr)
-            return EXIT_COMPUTE
-    _emit(args, {"version": JSON_VERSION, "kind": "count", "chordal": n is not None,
-                 "k": args.k, "colorings": n}, "not chordal" if n is None else str(n))
+    _emit({"version": JSON_VERSION, "kind": "count", "chordal": n is not None,
+           "k": args.k, "colorings": n})
     return EXIT_NEGATIVE if n is None else EXIT_OK
 
 
 def cmd_oracle_count(args) -> int:
     g = _load(args)
     n = brute_force_colorings(g, args.k).count
-    _emit(args, {"version": JSON_VERSION, "kind": "count", "method": "brute-force",
-                 "k": args.k, "colorings": n}, str(n))
+    _emit({"version": JSON_VERSION, "kind": "count", "method": "brute-force",
+           "k": args.k, "colorings": n})
     return EXIT_OK
 
 
@@ -214,18 +188,14 @@ def cmd_color(args) -> int:
     g = _load(args)
     result = build_groebner_basis(g, args.k, QQ)
     coloring = None if result is None else extract_coloring(result, args.k)
-    payload = {
+    _emit({
         "version": JSON_VERSION,
         "kind": "coloring",
         "k": args.k,
         "chordal": result is not None,
         "coloring": None if coloring is None else {str(v): c for v, c in sorted(coloring.items())},
-    }
-    if coloring is None:
-        _emit(args, payload, "not chordal" if result is None else "no coloring")
-        return EXIT_NEGATIVE
-    _emit(args, payload, " ".join(f"{v}={coloring[v]}" for v in g.vertices))
-    return EXIT_OK
+    })
+    return EXIT_NEGATIVE if coloring is None else EXIT_OK
 
 
 def cmd_cert(args) -> int:
@@ -237,15 +207,11 @@ def cmd_cert(args) -> int:
         g, args.k, field, args.d_max, progress=lambda line: print(line, file=sys.stderr)
     )
     if cert is None:
-        payload = certificate_search_to_json_dict(g, args.k, field, args.d_max)
-        _emit(args, payload, f"no certificate up to degree {payload['d_max']} "
-                             "(graph may be colorable, or the bound too small)")
+        _emit(certificate_search_to_json_dict(g, args.k, field, args.d_max))
         return EXIT_NEGATIVE
     if args.lift:
         cert = lift_certificate(cert, g, args.k)
-    payload = certificate_to_json_dict(cert, g)
-    _emit(args, payload, f"certificate of degree {cert.degree} "
-                         f"(lower degrees infeasible: {list(cert.infeasible_degrees) or 'none'})")
+    _emit(certificate_to_json_dict(cert, g))
     return EXIT_OK
 
 
@@ -256,8 +222,7 @@ def cmd_verify_cert(args) -> int:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed certificate document: {exc}") from exc
     ok = verify_certificate(cert, build_ideal(g, cert.k, cert.field))
-    _emit(args, {"version": JSON_VERSION, "kind": "verification", "valid": ok},
-          "valid" if ok else "invalid")
+    _emit({"version": JSON_VERSION, "kind": "verification", "valid": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -324,8 +289,7 @@ def cmd_verify_gb(args) -> int:
         ok = _feasible_claim_holds(data, g, k, field, polys, order)
     ok = ok and buchberger_criterion(polys, order) and all(
         normal_form(gen, polys, order)[1].is_zero for gen in build_ideal(g, k, field).generators())
-    _emit(args, {"version": JSON_VERSION, "kind": "verification", "valid": ok},
-          "valid" if ok else "invalid")
+    _emit({"version": JSON_VERSION, "kind": "verification", "valid": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -339,16 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, graph=True, needs_k=True, field_default=None):
-        if graph:
-            p.add_argument("graph", help="graph file (DIMACS .col or 'u v' edge list)")
+    def common(p, needs_k=True, field_default=None):
+        p.add_argument("graph", help="graph file (DIMACS .col or 'u v' edge list)")
         if needs_k:
             p.add_argument("--k", type=_colors, required=True, help="number of colors (>= 2)")
         if field_default is not None:
             p.add_argument("--p", default=field_default,
                            help="prime field modulus, or 'rational'")
-        p.add_argument("--format", choices=["json", "text"], default="json",
-                       help="output format (json is the stable interface)")
 
     p = sub.add_parser("check-chordal", help="test chordality, print an elimination order")
     common(p, needs_k=False)
@@ -356,14 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gb", help="Groebner basis of the coloring ideal (chordal graphs)")
     common(p, field_default="rational")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check the basis with the S-pair criterion")
     p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("count", help="number of proper k-colorings (chordal graphs)")
     common(p)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against brute-force enumeration")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("color", help="extract one proper k-coloring (chordal graphs)")
@@ -371,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("cert", help="search a minimal-degree non-colorability certificate")
-    common(p, field_default=None)
+    common(p)
     p.add_argument("--p", required=True, help="prime field modulus")
     p.add_argument("--d-max", type=int, default=None,
                    help="degree search bound (default 3k+1)")
@@ -381,12 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-cert", help="check a certificate JSON document")
     p.add_argument("document", help="certificate JSON file, or - for stdin")
-    p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_verify_cert)
 
     p = sub.add_parser("verify-gb", help="check a Groebner-basis JSON document")
     p.add_argument("document", help="basis JSON file, or - for stdin")
-    p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_verify_gb)
 
     p = sub.add_parser("oracle-count", help="brute-force coloring count (any graph)")
@@ -407,7 +362,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleTooLarge, OracleBudgetExceeded, FillBudgetExceeded) as exc:
+    except (OracleTooLarge, FillBudgetExceeded) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except MemoryError:

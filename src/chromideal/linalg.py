@@ -107,13 +107,12 @@ def solve_sparse(
     for j, members in col_rows.items():
         if members:
             heapq.heappush(heap, (len(members), j))
-    done_cols: set[int] = set()
     pivots: list[tuple[int, int]] = []
 
     while heap:
         count, j = heapq.heappop(heap)
         members = col_rows.get(j)
-        if j in done_cols or not members or len(members) != count:
+        if not members or len(members) != count:
             continue
         i = min(members, key=lambda r: (len(rows[r]), r))
         piv_row = rows[i]
@@ -130,15 +129,14 @@ def solve_sparse(
                         nonzeros -= 1
                         cr = col_rows[c]
                         cr.discard(r)
-                        if cr and c not in done_cols:
+                        if cr:
                             heapq.heappush(heap, (len(cr), c))
                 else:
                     if c not in target:
                         nonzeros += 1
                         cr = col_rows[c]
                         cr.add(r)
-                        if c not in done_cols:
-                            heapq.heappush(heap, (len(cr), c))
+                        heapq.heappush(heap, (len(cr), c))
                     target[c] = nv
             if piv_rhs:
                 nr = (rhs_d.get(r, 0) - factor * piv_rhs) % p
@@ -155,10 +153,9 @@ def solve_sparse(
             if c != j:
                 cr = col_rows[c]
                 cr.discard(i)
-                if cr and c not in done_cols:
+                if cr:
                     heapq.heappush(heap, (len(cr), c))
         col_rows[j] = set()
-        done_cols.add(j)
         pivots.append((i, j))
         if entry_budget is not None and nonzeros > entry_budget:
             raise FillBudgetExceeded(f"elimination fill-in exceeded {entry_budget} entries")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromideal.certificates import (
     Certificate,
@@ -17,6 +19,7 @@ from chromideal.fields import GF, QQ
 from chromideal.graphs import Graph, complete_graph
 from chromideal.ideals import CharacteristicDividesK, build_ideal, mk_vertex_poly
 from chromideal.linalg import solve_gf2, solve_sparse
+from chromideal.oracle import brute_force_colorings
 from chromideal.poly import Monomial, Polynomial, parse_poly
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
@@ -202,7 +205,6 @@ def test_colorable_graphs_never_certify():
     import random
 
     from chromideal.graphs import random_chordal
-    from chromideal.oracle import brute_force_colorings
 
     field_for_k = {2: F3, 3: F2, 4: F3}
     for seed in range(8):
@@ -212,6 +214,31 @@ def test_colorable_graphs_never_certify():
         if brute_force_colorings(g, k).count == 0:
             continue
         assert search_certificate(g, k, field_for_k[k]) is None
+
+
+@st.composite
+def small_graphs_k_p(draw):
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    k = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([3, 5] if k == 2 else [2, 5, 7]))
+    return Graph(n, edges), k, GF(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_graphs_k_p())
+def test_search_agrees_with_brute_force(case):
+    """A found certificate means no coloring exists, and it lifts to a
+    full-ring identity; a colorable graph never certifies."""
+    g, k, field = case
+    cert = search_certificate(g, k, field, d_max=k + 1)
+    colorable = brute_force_colorings(g, k).count > 0
+    if cert is not None:
+        assert not colorable
+        assert verify_certificate(lift_certificate(cert, g, k), build_ideal(g, k, field))
+    if colorable:
+        assert cert is None
 
 
 def test_monomial_degree_classes_are_one_mod_k():

@@ -67,21 +67,8 @@ def test_gb_infeasible_reports_witness(capsys, k4):
     assert len(doc["witness"]["clique"]) >= 3
 
 
-def test_gb_oracle_flag(capsys, triangle):
-    code, _ = run_json(capsys, "gb", "--k", "3", "--oracle", triangle)
-    assert code == 0
-
-
-def test_gb_text_format(capsys, triangle):
-    code, out = run(capsys, "gb", "--k", "3", "--format", "text", triangle)
-    assert code == 0
-    assert "basis" in out and "dimension: 6" in out
-
-
 def test_count_and_oracle_count(capsys, triangle, c4):
     code, doc = run_json(capsys, "count", "--k", "3", triangle)
-    assert code == 0 and doc["colorings"] == 6
-    code, doc = run_json(capsys, "count", "--k", "3", "--oracle", triangle)
     assert code == 0 and doc["colorings"] == 6
     code, doc = run_json(capsys, "count", "--k", "2", c4)
     assert code == 1 and doc["chordal"] is False
@@ -216,6 +203,12 @@ def test_verify_gb_rejects_forged_feasible_document(capsys, triangle, tmp_path, 
     assert code == 1 and verdict["valid"] is False
 
 
+def _name_first_edge_twice(coefficients: dict) -> dict:
+    key, text = next(iter(coefficients.items()))
+    u, v = key.split("-")
+    return {**coefficients, f"{v}-{u}": text}
+
+
 @pytest.mark.parametrize(
     "verb,malform",
     [
@@ -226,9 +219,12 @@ def test_verify_gb_rejects_forged_feasible_document(capsys, triangle, tmp_path, 
         ("verify-gb", lambda doc: {**doc, "basis": [5]}),
         ("verify-cert", lambda doc: [doc]),
         ("verify-cert", lambda doc: {**doc, "edge_coefficients": []}),
+        ("verify-cert", lambda doc: {**doc, "k": 0}),
+        ("verify-cert", lambda doc: {**doc, "edge_coefficients": _name_first_edge_twice(
+            doc["edge_coefficients"])}),
     ],
     ids=["gb-array", "gb-null-order", "gb-int-edge", "gb-null-field", "gb-int-poly",
-         "cert-array", "cert-list-coefficients"],
+         "cert-array", "cert-list-coefficients", "cert-k-zero", "cert-repeated-edge"],
 )
 def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
     source = ["gb", "--k", "4"] if verb == "verify-gb" else ["cert", "--k", "3", "--p", "7"]
@@ -278,6 +274,8 @@ def test_usage_errors_exit_2(capsys, triangle, tmp_path):
     bad.write_text("p edge 2 1\ne 1 7\n")
     assert main(["gb", "--k", "3", str(bad)]) == 2
     assert main(["nonsense"]) == 2
+    assert main(["gb", "--k", "3", "--format", "text", triangle]) == 2
+    assert main(["count", "--k", "3", "--oracle", triangle]) == 2
     capsys.readouterr()
 
 
