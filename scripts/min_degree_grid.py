@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Reproduce the minimal-certificate-degree grid for complete graphs.
+"""Reproduce the minimal-certificate-degree grid for complete graphs and odd
+wheels.
 
-For each k, tests K_{k+1} for non-k-colorability over small prime fields by
-invoking the `cert` CLI verb and reports the minimal certificate degree per
-field.  The quick cells finish in seconds; pass --slow to add the heavy
+For each cell, tests the graph (K_{k+1}, or the odd wheel W_r: a hub joined
+to every vertex of an r-cycle) for non-k-colorability over a small prime
+field by invoking the `cert` CLI verb and reports the minimal certificate
+degree.  The quick cells finish in seconds; pass --slow to add the heavy
 cells (minutes to hours).  Cliques K_8 and beyond are out of desk range and
 are deliberately not listed.
 
@@ -11,6 +13,7 @@ Usage: python scripts/min_degree_grid.py [--slow] [--k K] [--p P]
 """
 
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -18,12 +21,21 @@ import tempfile
 import time
 from pathlib import Path
 
-QUICK = [(3, 2), (3, 5), (3, 7), (4, 3), (4, 5), (4, 7), (5, 2), (5, 3)]
-SLOW = [(5, 7), (6, 5), (6, 7)]
+QUICK = [(f"K_{k + 1}", k, p)
+         for k, p in [(3, 2), (3, 5), (3, 7), (4, 3), (4, 5), (4, 7), (5, 2), (5, 3)]]
+QUICK += [("W_5", 3, 2), ("W_21", 3, 2), ("W_51", 3, 2), ("W_5", 3, 5)]
+SLOW = [(f"K_{k + 1}", k, p) for k, p in [(5, 7), (6, 5), (6, 7)]]
 
 
-def dimacs_clique(n: int) -> str:
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+def dimacs(graph: str) -> str:
+    """DIMACS text of K_n ("K_n") or of the wheel W_r ("W_r", r + 1 vertices)."""
+    family, size = graph.split("_")
+    size = int(size)
+    if family == "K":
+        n, edges = size, list(itertools.combinations(range(1, size + 1), 2))
+    else:
+        n = size + 1
+        edges = [(i, i % size + 1) for i in range(1, n)] + [(i, n) for i in range(1, n)]
     lines = [f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
     return "\n".join(lines) + "\n"
 
@@ -49,7 +61,7 @@ def main() -> int:
     args = parser.parse_args()
 
     cells = QUICK + (SLOW if args.slow else [])
-    cells = [(k, p) for k, p in cells
+    cells = [(graph, k, p) for graph, k, p in cells
              if (args.k is None or k == args.k) and (args.p is None or p == args.p)]
     if not cells:
         print("nothing to do for this filter", file=sys.stderr)
@@ -57,13 +69,11 @@ def main() -> int:
 
     print(f"{'graph':>6} {'k':>2} {'field':>6} {'min degree':>11} {'seconds':>9}")
     with tempfile.TemporaryDirectory() as tmp:
-        for k, p in cells:
-            n = k + 1
-            graph_path = Path(tmp) / f"k{n}.col"
-            graph_path.write_text(dimacs_clique(n))
+        for graph, k, p in cells:
+            graph_path = Path(tmp) / f"{graph}.col"
+            graph_path.write_text(dimacs(graph))
             degree, elapsed = run_cell(str(graph_path), k, p)
-            print(f"{'K_' + str(n):>6} {k:>2} {'GF(' + str(p) + ')':>6} "
-                  f"{degree:>11} {elapsed:>9.1f}")
+            print(f"{graph:>6} {k:>2} {'GF(' + str(p) + ')':>6} {degree:>11} {elapsed:>9.1f}")
     return 0
 
 

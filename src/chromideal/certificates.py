@@ -14,10 +14,9 @@ of division by the vertex generators.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import linalg
 from .fields import PrimeField
@@ -54,16 +53,32 @@ def admissible_degrees(k: int, d_max: int) -> list[int]:
     return list(range(start, d_max + 1, k))
 
 
-def _coefficient_monomials(n: int, k: int, degrees: set[int]) -> list[tuple[int, ...]]:
-    """Exponent tuples over n variables with every exponent < k and total
-    degree in the given set, in deterministic (degree, tuple) order."""
-    if not degrees:
-        return []
-    d_max = max(degrees)
-    span = range(min(k, d_max + 1))
-    out = [t for t in itertools.product(span, repeat=n) if sum(t) in degrees]
-    out.sort(key=lambda t: (sum(t), tuple(-e for e in t)))
-    return out
+def _coefficient_monomials(n: int, k: int,
+                           degrees: set[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Sparse exponent tuples ((variable, exponent), ...) over variables 1..n
+    with every exponent below k and total degree in the given set.
+
+    Exactly those vectors are generated, degrees in ascending order; within
+    a degree, variable 1 takes its largest exponent first, then variable 2,
+    and so on (the descending order of the dense exponent vectors).
+    """
+    for d in sorted(degrees):
+        yield from _exponents_of_degree(n, k, 1, d)
+
+
+def _exponents_of_degree(n: int, k: int, first: int,
+                         d: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The degree-d part of _coefficient_monomials on variables first..n."""
+    if d == 0:
+        yield ()
+        return
+    # Variable v can be the first nonzero one only if v..n can hold degree d.
+    for v in range(first, n + 1):
+        if (k - 1) * (n - v + 1) < d:
+            return
+        for e in range(min(k - 1, d), 0, -1):
+            for rest in _exponents_of_degree(n, k, v + 1, d - e):
+                yield ((v, e),) + rest
 
 
 @dataclass
@@ -72,7 +87,9 @@ class LinearSystem:
 
     Columns are (edge, monomial) pairs; conceptually there is one row per
     quotient-ring monomial (n_rows = k^n), but only rows touched by some
-    column are materialized, plus the constant row carrying the rhs 1.
+    column are materialized, plus the constant row carrying the rhs 1.  A
+    row is named by its monomial's code: the exponent of x_v is the base-k
+    digit of weight k^(v-1), so the constant row is code 0.
     """
 
     graph: Graph
@@ -81,7 +98,7 @@ class LinearSystem:
     degree: int
     columns: list[tuple[tuple[int, int], Monomial]]
     col_rows: list[list[int]]
-    row_monomials: list[tuple[int, ...]]
+    row_monomials: list[int]
     rhs_row: int
 
     @property
@@ -101,37 +118,29 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int) -> LinearSystem
     _check_characteristic(field, k)
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
-    n = g.n
     degrees = {t for t in range(1, d + 1) if t % k == 1 % k}
-    mono_tuples = _coefficient_monomials(n, k, degrees)
-    monomials = [Monomial({v + 1: e for v, e in enumerate(t) if e}) for t in mono_tuples]
+    # weight[v] = k^(v-1), the place value of x_v's exponent in a row code.
+    weight = [0] + [k ** i for i in range(g.n)]
+    monomials = []
+    for exps in _coefficient_monomials(g.n, k, degrees):
+        code = sum(e * weight[v] for v, e in exps)
+        monomials.append((Monomial(exps), dict(exps), code))
 
-    row_index: dict[tuple[int, ...], int] = {}
-    row_monomials: list[tuple[int, ...]] = []
-
-    def row_id(t: tuple[int, ...]) -> int:
-        rid = row_index.get(t)
-        if rid is None:
-            rid = len(row_monomials)
-            row_index[t] = rid
-            row_monomials.append(t)
-        return rid
-
-    rhs_row = row_id((0,) * n)
+    # Row ids in order of first touch; the constant row carrying the rhs is 0.
+    row_index = {0: 0}
     columns = []
     col_rows = []
     for u, v in g.edges():
-        ui, vi = u - 1, v - 1
-        for t, mono in zip(mono_tuples, monomials):
-            rows = []
-            for l in range(k):
-                prod = list(t)
-                prod[ui] = (prod[ui] + l) % k
-                prod[vi] = (prod[vi] + k - 1 - l) % k
-                rows.append(row_id(tuple(prod)))
+        wu, wv = weight[u], weight[v]
+        # shift[a][b]: code offsets of the k rows of a column whose monomial
+        # has exponents a at u and b at v.
+        shift = [[[((a + l) % k - a) * wu + ((b + k - 1 - l) % k - b) * wv for l in range(k)]
+                  for b in range(k)] for a in range(k)]
+        for mono, exps, code in monomials:
+            col_rows.append([row_index.setdefault(code + s, len(row_index))
+                             for s in shift[exps.get(u, 0)][exps.get(v, 0)]])
             columns.append(((u, v), mono))
-            col_rows.append(rows)
-    return LinearSystem(g, k, field, d, columns, col_rows, row_monomials, rhs_row)
+    return LinearSystem(g, k, field, d, columns, col_rows, list(row_index), 0)
 
 
 _SUBSET_THRESHOLD = 100_000

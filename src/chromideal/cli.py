@@ -15,6 +15,7 @@ import json
 import sys
 
 from .certificates import (
+    admissible_degrees,
     certificate_from_json_dict,
     certificate_search_to_json_dict,
     certificate_to_json_dict,
@@ -215,13 +216,26 @@ def cmd_cert(args) -> int:
     return EXIT_OK
 
 
+def _certificate_claim_holds(data: dict, cert) -> bool:
+    """True iff `degree` and `lifted_degree` are the ones the coefficients
+    have and `infeasible_degrees` are strictly increasing admissible degrees
+    below `degree`."""
+    infeasible = list(cert.infeasible_degrees)
+    return (data.get("degree") == cert.degree
+            and data.get("lifted_degree") == cert.lifted_degree
+            and all(type(d) is int for d in infeasible)
+            and infeasible == sorted(set(infeasible))
+            and set(infeasible) <= set(admissible_degrees(cert.k, cert.degree - 1)))
+
+
 def cmd_verify_cert(args) -> int:
     data = _read_json_document(args.document)
     try:
         cert, g = certificate_from_json_dict(data)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed certificate document: {exc}") from exc
-    ok = verify_certificate(cert, build_ideal(g, cert.k, cert.field))
+    ok = (verify_certificate(cert, build_ideal(g, cert.k, cert.field))
+          and _certificate_claim_holds(data, cert))
     _emit({"version": JSON_VERSION, "kind": "verification", "valid": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
 

@@ -131,6 +131,59 @@ def test_cert_verify_round_trip(capsys, k4, tmp_path):
     assert code == 1 and verdict["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"degree": 99},
+        {"lifted_degree": 1},
+        {"infeasible_degrees": [4, 7]},
+        {"infeasible_degrees": [1, 1]},
+        {"infeasible_degrees": [2]},
+        {"infeasible_degrees": ["1"]},
+    ],
+    ids=["degree", "lifted-degree", "infeasible-at-degree", "infeasible-repeated",
+         "infeasible-not-admissible", "infeasible-string"],
+)
+def test_verify_cert_checks_claimed_degrees(capsys, k4, tmp_path, edit):
+    """The K_4/k=3/GF(7) lifted document (degree 4, infeasible_degrees [1])
+    verifies; with one claimed degree edited it does not."""
+    code, doc = run_json(capsys, "cert", "--k", "3", "--p", "7", "--lift", k4)
+    assert code == 0 and doc["degree"] == 4 and doc["infeasible_degrees"] == [1]
+    doc_path = tmp_path / "cert.json"
+    doc_path.write_text(json.dumps(doc))
+    code, verdict = run_json(capsys, "verify-cert", str(doc_path))
+    assert code == 0 and verdict["valid"] is True
+    doc_path.write_text(json.dumps({**doc, **edit}))
+    code, verdict = run_json(capsys, "verify-cert", str(doc_path))
+    assert code == 1 and verdict["valid"] is False
+
+
+def odd_wheel(tmp_path, r):
+    """W_r: a hub, vertex r + 1, joined to every vertex of the cycle 1..r."""
+    edges = [(i, i % r + 1) for i in range(1, r + 1)] + [(i, r + 1) for i in range(1, r + 1)]
+    path = tmp_path / f"w{r}.col"
+    path.write_text(f"p edge {r + 1} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    return str(path)
+
+
+def test_cert_on_odd_wheel_w41(capsys, tmp_path, monkeypatch):
+    """42 vertices: the dense exponent walk would visit 2^42 vectors."""
+    import io
+
+    code, out = run(capsys, "cert", "--k", "3", "--p", "2", "--lift", odd_wheel(tmp_path, 41))
+    doc = json.loads(out)
+    assert code == 0 and doc["degree"] == 1 and doc["infeasible_degrees"] == []
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, verdict = run_json(capsys, "verify-cert", "-")
+    assert code == 0 and verdict["valid"] is True
+
+
+def test_cert_odd_wheel_w11_degree_one_infeasible_over_gf5(capsys, tmp_path):
+    path = odd_wheel(tmp_path, 11)
+    code, doc = run_json(capsys, "cert", "--k", "3", "--p", "5", "--d-max", "1", path)
+    assert code == 1 and doc["certificate"] is None and doc["infeasible_degrees"] == [1]
+
+
 def test_gb_verify_round_trip(capsys, triangle, tmp_path):
     code, out = run(capsys, "gb", "--k", "3", triangle)
     assert code == 0
