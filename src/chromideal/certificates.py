@@ -32,7 +32,7 @@ from .ideals import (
     mk_vertex_poly,
     quotient_reduce,
 )
-from .poly import Monomial, Polynomial, parse_poly, render
+from .poly import Monomial, Polynomial, _add_terms, parse_poly, render
 
 
 class InvalidCertificate(ValueError):
@@ -144,10 +144,6 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int) -> LinearSystem
 
 
 _SUBSET_THRESHOLD = 100_000
-# Stored nonzeros allowed during one odd-p elimination.  Measured at 430-620
-# bytes per stored entry, 8 M entries is about 4.9 GB, so the budget trips
-# before the process runs out of memory on an 8 GB machine.
-_FILL_BUDGET = 8_000_000
 
 
 def _solve_wide(system: LinearSystem) -> list[int] | None:
@@ -169,7 +165,7 @@ def _solve_wide(system: LinearSystem) -> list[int] | None:
         else:
             subset = sorted(rng.sample(range(n_cols), size))
         entries = [[(r, 1) for r in system.col_rows[j]] for j in subset]
-        x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field, _FILL_BUDGET)
+        x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field)
         if x is not None:
             full = [0] * n_cols
             for jj, j in enumerate(subset):
@@ -185,7 +181,7 @@ def solve_system(system: LinearSystem) -> dict[tuple[tuple[int, int], Monomial],
     inconsistent.  Deterministic: bit-packed dense elimination over GF(2),
     sparse Markowitz-pivot elimination for odd p (through a growing ladder
     of column subsets beyond _SUBSET_THRESHOLD columns).  Raises
-    linalg.FillBudgetExceeded when odd-p fill-in passes _FILL_BUDGET."""
+    linalg.FillBudgetExceeded when a kernel would pass its memory budget."""
     if system.field.p == 2:
         x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [system.rhs_row])
     else:
@@ -248,7 +244,12 @@ def search_certificate(
     """Certificate at the smallest admissible degree <= d_max at which the
     system is consistent; None when every admissible degree fails (the graph
     may be k-colorable, or d_max too small -- this search does not decide).
+    Raises ValueError for a field that is not prime or a negative d_max.
     """
+    if not isinstance(field, PrimeField):
+        raise ValueError("certificate search needs a prime field")
+    if d_max is not None and d_max < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {d_max}")
     _check_characteristic(field, k)
     infeasible: list[int] = []
     for d in admissible_degrees(k, _degree_bound(k, d_max)):
@@ -300,28 +301,18 @@ def _split_off_vertex_quotients(f: Polynomial, k: int):
     dicts, quotients keyed by vertex.
     """
     field = f.field
-    reduced: dict[Monomial, object] = {}
+    reduced: list[tuple[Monomial, object]] = []
     quotients: dict[int, dict[Monomial, object]] = {}
-
-    def bump(acc, m, c):
-        s = field.add(acc.get(m, field.zero), c)
-        if field.is_zero(s):
-            acc.pop(m, None)
-        else:
-            acc[m] = s
-
     for m, c in f.terms.items():
         base = {v: e % k for v, e in m.exps if e % k}
         high = [(v, e // k) for v, e in m.exps if e >= k]
-        bump(reduced, Monomial(base), c)
+        reduced.append((Monomial(base), c))
         prefix: dict[int, int] = dict(base)
         for v, q in high:
-            for t in range(q):
-                gm = dict(prefix)
-                gm[v] = gm.get(v, 0) + k * t
-                bump(quotients.setdefault(v, {}), Monomial(gm), c)
+            steps = ((Monomial({**prefix, v: prefix.get(v, 0) + k * t}), c) for t in range(q))
+            _add_terms(field, quotients.setdefault(v, {}), steps)
             prefix[v] = prefix.get(v, 0) + k * q
-    return reduced, quotients
+    return _add_terms(field, {}, reduced), quotients
 
 
 def lift_certificate(cert: Certificate, g: Graph, k: int) -> Certificate:

@@ -98,14 +98,14 @@ def quotient_dimension(result: BasisResult, k: int) -> int:
     return count_along_order(result.basis.peo, k)
 
 
-def extract_coloring(result: BasisResult, k: int) -> dict[int, int] | None:
-    """Back-substitute along the elimination order (last removed first),
-    giving each vertex the smallest color unused by its clique neighbors.
-    None when the result is infeasible."""
-    if result.infeasible:
+def extract_coloring(peo: tuple[EliminationRecord, ...], k: int) -> dict[int, int] | None:
+    """Back-substitute along a perfect elimination order (last removed
+    first), giving each vertex the smallest color unused by its clique
+    neighbors.  None when some clique has k or more members (no k-coloring)."""
+    if any(len(rec.clique) >= k for rec in peo):
         return None
     coloring: dict[int, int] = {}
-    for rec in reversed(result.basis.peo):
+    for rec in reversed(peo):
         used = {coloring[u] for u in rec.clique}
         coloring[rec.vertex] = next(c for c in range(k) if c not in used)
     return coloring

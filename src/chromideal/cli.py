@@ -153,7 +153,7 @@ def basis_result_to_json(result, g, k, field) -> dict:
                "ranks": {str(v): r for v, r in sorted(basis.order.ranks.items())}},
         elimination=[_record_to_json(r) for r in basis.peo],
         dimension=quotient_dimension(result, k),
-        coloring={str(v): c for v, c in sorted(extract_coloring(result, k).items())},
+        coloring={str(v): c for v, c in sorted(extract_coloring(basis.peo, k).items())},
     )
     return payload
 
@@ -187,13 +187,13 @@ def cmd_oracle_count(args) -> int:
 
 def cmd_color(args) -> int:
     g = _load(args)
-    result = build_groebner_basis(g, args.k, QQ)
-    coloring = None if result is None else extract_coloring(result, args.k)
+    peo = perfect_elimination_order(g)
+    coloring = None if peo is None else extract_coloring(peo, args.k)
     _emit({
         "version": JSON_VERSION,
         "kind": "coloring",
         "k": args.k,
-        "chordal": result is not None,
+        "chordal": peo is not None,
         "coloring": None if coloring is None else {str(v): c for v, c in sorted(coloring.items())},
     })
     return EXIT_NEGATIVE if coloring is None else EXIT_OK
@@ -201,8 +201,6 @@ def cmd_color(args) -> int:
 
 def cmd_cert(args) -> int:
     field = _field(args)
-    if not isinstance(field, PrimeField):
-        raise UsageError("cert requires a prime field (--p P)")
     g = _load(args)
     cert = search_certificate(
         g, args.k, field, args.d_max, progress=lambda line: print(line, file=sys.stderr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graphs import Graph
-from .poly import MONOMIAL_ONE, Monomial, Polynomial
+from .poly import MONOMIAL_ONE, Monomial, Polynomial, _add_terms
 
 
 class CharacteristicDividesK(ValueError):
@@ -65,16 +65,8 @@ def quotient_reduce(f: Polynomial, k: int) -> Polynomial:
     """Reduce every exponent mod k (the image modulo all x_i^k - 1)."""
     if k < 1:
         raise ValueError("k must be positive")
-    fld = f.field
-    acc: dict[Monomial, object] = {}
-    for m, c in f.terms.items():
-        mm = Monomial({v: e % k for v, e in m.exps})
-        s = fld.add(acc.get(mm, fld.zero), c)
-        if fld.is_zero(s):
-            acc.pop(mm, None)
-        else:
-            acc[mm] = s
-    return Polynomial(fld, acc)
+    reduced = ((Monomial({v: e % k for v, e in m.exps}), c) for m, c in f.terms.items())
+    return Polynomial(f.field, _add_terms(f.field, {}, reduced))
 
 
 def check_coloring(g: Graph, k: int, coloring: Mapping[int, int]) -> bool:

@@ -6,12 +6,14 @@ Two solvers for A x = b given column-wise sparse input:
   words; leftmost pivot column, first available pivot row.
 * solve_sparse: row-dict elimination over GF(p) on canonical ints with
   Markowitz-style pivoting (emptiest active column first, emptiest row
-  within it), deterministic tie-breaking by index, and an optional fill
-  budget that raises FillBudgetExceeded instead of exhausting memory.
+  within it) and deterministic tie-breaking by index.
 
 Both take each column's rows at most once, return one solution (free
 variables set to zero) or None when the system is inconsistent, and are
-deterministic for fixed input.
+deterministic for fixed input.  Both always run under a memory budget, so
+they raise FillBudgetExceeded instead of exhausting memory: solve_gf2 before
+allocating a matrix above _DENSE_BYTES, solve_sparse once fill-in stores more
+than _FILL_BUDGET nonzeros.
 """
 
 from __future__ import annotations
@@ -23,6 +25,18 @@ import numpy as np
 
 from .fields import PrimeField
 
+# Bytes the dense GF(2) matrix may take.  Row updates copy the selected rows,
+# so the peak can reach twice this, about the 4.9 GB of _FILL_BUDGET.
+_DENSE_BYTES = 2_000_000_000
+# Stored nonzeros allowed during one odd-p elimination.  Measured at 430-620
+# bytes per stored entry, 8 M entries is about 4.9 GB, so the budget trips
+# before the process runs out of memory on an 8 GB machine.
+_FILL_BUDGET = 8_000_000
+
+
+class FillBudgetExceeded(RuntimeError):
+    """An elimination would store more than its memory budget allows."""
+
 
 def solve_gf2(
     n_rows: int, col_rows: Sequence[Sequence[int]], rhs_rows: Sequence[int]
@@ -31,6 +45,9 @@ def solve_gf2(
     (0-based, each listed once); rhs_rows lists the rows where b = 1."""
     n_cols = len(col_rows)
     words = (n_cols + 1 + 63) // 64 or 1
+    size = max(n_rows, 1) * words * 8
+    if size > _DENSE_BYTES:
+        raise FillBudgetExceeded(f"dense GF(2) matrix of {size} bytes exceeds {_DENSE_BYTES}")
     m = np.zeros((max(n_rows, 1), words), dtype=np.uint64)
     for j, rows in enumerate(col_rows):
         if rows:
@@ -66,23 +83,17 @@ def solve_gf2(
     return x
 
 
-class FillBudgetExceeded(RuntimeError):
-    """Elimination fill-in pushed the stored nonzero count past its budget."""
-
-
 def solve_sparse(
     col_entries: Sequence[Sequence[tuple[int, int]]],
     rhs: Mapping[int, int],
     field: PrimeField,
-    entry_budget: int | None = None,
 ) -> list[int] | None:
     """Solve over GF(p).  Columns are given by (row, coefficient) pairs with
     each row listed at most once; rows are arbitrary hashable indices.
 
     Rows never touched by a column are the equations 0 = rhs, so a nonzero
-    rhs on such a row makes the system inconsistent immediately.  When
-    entry_budget is set, elimination raises FillBudgetExceeded as soon as
-    fill-in pushes the stored nonzero count past it.
+    rhs on such a row makes the system inconsistent immediately.  Raises
+    FillBudgetExceeded as soon as fill-in stores more than _FILL_BUDGET nonzeros.
     """
     p = field.p
     rows: dict[int, dict[int, int]] = {}
@@ -157,8 +168,8 @@ def solve_sparse(
                     heapq.heappush(heap, (len(cr), c))
         col_rows[j] = set()
         pivots.append((i, j))
-        if entry_budget is not None and nonzeros > entry_budget:
-            raise FillBudgetExceeded(f"elimination fill-in exceeded {entry_budget} entries")
+        if nonzeros > _FILL_BUDGET:
+            raise FillBudgetExceeded(f"elimination fill-in exceeded {_FILL_BUDGET} entries")
 
     # remaining active rows are empty; back-substitute with free columns at 0
     x: dict[int, int] = {}

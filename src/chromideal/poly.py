@@ -219,15 +219,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_field(other)
-        f = self.field
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = f.add(acc.get(m, f.zero), c)
-            if f.is_zero(s):
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return _raw(f, acc)
+        return _raw(self.field, _add_terms(self.field, dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -245,16 +237,9 @@ class Polynomial:
             return NotImplemented
         self._check_field(other)
         f = self.field
-        acc: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = f.add(acc.get(m, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return _raw(f, acc)
+        products = ((m1 * m2, f.mul(c1, c2))
+                    for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
+        return _raw(f, _add_terms(f, {}, products))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -307,21 +292,13 @@ class Polynomial:
         """Partial evaluation: plug in values for a subset of the variables."""
         f = self.field
         vals = {v: f.element(x) for v, x in assignment.items()}
-        acc: dict[Monomial, object] = {}
+        plugged = []
         for m, c in self.terms.items():
-            rest = {}
             for v, e in m.exps:
                 if v in vals:
                     c = f.mul(c, f.pow(vals[v], e))
-                else:
-                    rest[v] = e
-            mm = Monomial(rest)
-            s = f.add(acc.get(mm, f.zero), c)
-            if f.is_zero(s):
-                acc.pop(mm, None)
-            else:
-                acc[mm] = s
-        return _raw(f, acc)
+            plugged.append((Monomial([(v, e) for v, e in m.exps if v not in vals]), c))
+        return _raw(f, _add_terms(f, {}, plugged))
 
     def __eq__(self, other) -> bool:
         return (
@@ -345,6 +322,19 @@ def _raw(field, terms: dict) -> Polynomial:
     return p
 
 
+def _add_terms(field, acc: dict, terms) -> dict:
+    """Add (monomial, canonical coefficient) pairs into the term dict acc,
+    dropping each monomial whose sum is zero, so acc stays canonical."""
+    add, is_zero, zero = field.add, field.is_zero, field.zero
+    for m, c in terms:
+        s = add(acc.get(m, zero), c)
+        if is_zero(s):
+            acc.pop(m, None)
+        else:
+            acc[m] = s
+    return acc
+
+
 def normal_form(
     f: Polynomial, basis: Sequence[Polynomial], order: TermOrder
 ) -> tuple[list[Polynomial], Polynomial]:
@@ -363,7 +353,7 @@ def normal_form(
         if g.field != fld:
             raise FieldMismatchError(f"{fld} vs {g.field}")
         heads.append(g.leading_term(order))
-    quots: list[dict[Monomial, object]] = [{} for _ in basis]
+    quots: list[list[tuple[Monomial, object]]] = [[] for _ in basis]
     rem: dict[Monomial, object] = {}
     work = dict(f.terms)
     key = order.sort_key
@@ -374,24 +364,15 @@ def normal_form(
             if gm.divides(lm):
                 q = lm.divide(gm)
                 qc = fld.div(lc, gc)
-                qacc = quots[i]
-                s = fld.add(qacc.get(q, fld.zero), qc)
-                if fld.is_zero(s):
-                    qacc.pop(q, None)
-                else:
-                    qacc[q] = s
-                for m2, c2 in basis[i].terms.items():
-                    m = q * m2
-                    s = fld.sub(work.get(m, fld.zero), fld.mul(qc, c2))
-                    if fld.is_zero(s):
-                        work.pop(m, None)
-                    else:
-                        work[m] = s
+                quots[i].append((q, qc))
+                neg_qc = fld.neg(qc)
+                _add_terms(fld, work, ((q * m2, fld.mul(neg_qc, c2))
+                                       for m2, c2 in basis[i].terms.items()))
                 break
         else:
             rem[lm] = lc
             del work[lm]
-    return [_raw(fld, q) for q in quots], _raw(fld, rem)
+    return [_raw(fld, _add_terms(fld, {}, q)) for q in quots], _raw(fld, rem)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -504,7 +485,7 @@ def parse_poly(text: str, field) -> Polynomial:
     if s == "0":
         return Polynomial.zero(field)
     s = s.replace(" - ", " + -")
-    acc: dict[Monomial, object] = {}
+    terms: list[tuple[Monomial, object]] = []
     f = field
     for chunk in s.split(" + "):
         t = chunk.strip()
@@ -527,10 +508,5 @@ def parse_poly(text: str, field) -> Polynomial:
                     coeff = f.mul(coeff, f.element(Fraction(part)))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"cannot parse {part!r} in {text!r}") from exc
-        mono = Monomial(exps)
-        s2 = f.add(acc.get(mono, f.zero), coeff)
-        if f.is_zero(s2):
-            acc.pop(mono, None)
-        else:
-            acc[mono] = s2
-    return _raw(field, acc)
+        terms.append((Monomial(exps), coeff))
+    return _raw(field, _add_terms(field, {}, terms))

@@ -26,7 +26,7 @@ from chromideal.chordal import (
     quotient_dimension,
 )
 from chromideal.fields import GF, QQ, kth_roots_of_unity
-from chromideal.graphs import Graph, complete_graph, random_chordal
+from chromideal.graphs import Graph, complete_graph, perfect_elimination_order, random_chordal
 from chromideal.ideals import build_ideal, check_coloring, mk_vertex_poly
 from chromideal.oracle import (
     OracleBudgetExceeded,
@@ -226,7 +226,7 @@ def test_criterion_6_extraction(chordal_suite):
     prime_for_k = {2: 3, 3: 7, 4: 5}
     checked = 0
     for g, k, result, count in chordal_suite:
-        coloring = extract_coloring(result, k)
+        coloring = extract_coloring(perfect_elimination_order(g), k)
         if result.infeasible:
             assert coloring is None
             continue

@@ -18,6 +18,7 @@ from chromideal.certificates import (
 from chromideal.fields import GF, QQ
 from chromideal.graphs import Graph, complete_graph
 from chromideal.ideals import CharacteristicDividesK, build_ideal, mk_vertex_poly
+import chromideal.linalg
 from chromideal.linalg import solve_gf2, solve_sparse
 from chromideal.oracle import brute_force_colorings
 from chromideal.poly import Monomial, Polynomial, parse_poly
@@ -140,7 +141,7 @@ def test_gf2_kernels_agree_on_feasibility():
             assert not any(residual)
 
 
-def test_fill_budget_fails_loudly():
+def test_fill_budget_fails_loudly(monkeypatch):
     import itertools
     import random
 
@@ -151,8 +152,9 @@ def test_fill_budget_fails_loudly():
         for _ in range(n)
     ]
     rhs = {i: rng.randrange(7) for i in range(n)}
+    monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", 10)
     with pytest.raises(RuntimeError, match="fill-in exceeded"):
-        solve_sparse(cols, rhs, F7, entry_budget=10)
+        solve_sparse(cols, rhs, F7)
 
 
 def test_wide_subset_ladder_solves_a_real_certificate_cell(monkeypatch):

@@ -16,6 +16,7 @@ from chromideal.graphs import (
     Graph,
     NotChordalError,
     complete_graph,
+    perfect_elimination_order,
     random_chordal,
 )
 from chromideal.ideals import CharacteristicDividesK, check_coloring
@@ -165,18 +166,18 @@ def test_dimension_matches_brute_force(seed):
 
 def test_extract_coloring_examples():
     edge = Graph(2, [(1, 2)])
-    coloring = extract_coloring(build_groebner_basis(edge, 2, QQ), 2)
+    coloring = extract_coloring(perfect_elimination_order(edge), 2)
     assert sorted(coloring.values()) == [0, 1]
 
-    tri = extract_coloring(build_groebner_basis(complete_graph(3), 3, QQ), 3)
+    tri = extract_coloring(perfect_elimination_order(complete_graph(3)), 3)
     assert sorted(tri.values()) == [0, 1, 2]
 
     star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-    col = extract_coloring(build_groebner_basis(star, 2, QQ), 2)
+    col = extract_coloring(perfect_elimination_order(star), 2)
     assert check_coloring(star, 2, col)
     assert len({col[2], col[3], col[4]}) == 1 and col[1] != col[2]
 
-    assert extract_coloring(build_groebner_basis(complete_graph(4), 3, QQ), 3) is None
+    assert extract_coloring(perfect_elimination_order(complete_graph(4)), 3) is None
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -186,7 +187,7 @@ def test_extraction_is_proper_and_kills_basis_at_roots(seed, k):
     res = build_groebner_basis(g, k, QQ)
     if res.infeasible:
         return
-    coloring = extract_coloring(res, k)
+    coloring = extract_coloring(res.basis.peo, k)
     assert check_coloring(g, k, coloring)
     p = {2: 3, 3: 7, 4: 5}[k]
     field = GF(p)

@@ -293,13 +293,24 @@ def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
 
 
 def test_cert_fill_budget_exits_3(capsys, k4, monkeypatch):
-    import chromideal.certificates as certs
+    import chromideal.linalg
 
-    monkeypatch.setattr(certs, "_FILL_BUDGET", 1)
+    monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", 1)
     code = main(["cert", "--k", "3", "--p", "7", k4])
     captured = capsys.readouterr()
     assert code == 3
     assert "computation error:" in captured.err
+    assert captured.out == ""
+
+
+def test_cert_dense_gf2_bound_exits_3(capsys, k4, monkeypatch):
+    import chromideal.linalg
+
+    monkeypatch.setattr(chromideal.linalg, "_DENSE_BYTES", 1)
+    code = main(["cert", "--k", "3", "--p", "2", k4])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "computation error: dense GF(2) matrix" in captured.err
     assert captured.out == ""
 
 
@@ -322,6 +333,7 @@ def test_usage_errors_exit_2(capsys, triangle, tmp_path):
     assert main(["gb", "--k", "3", "--p", "6", triangle]) == 2
     assert main(["cert", "--k", "3", "--p", "3", triangle]) == 2  # gcd(3,3) != 1
     assert main(["cert", "--k", "3", "--p", "rational", triangle]) == 2
+    assert main(["cert", "--k", "3", "--p", "7", "--d-max", "-1", triangle]) == 2
     assert main(["gb", "--k", "3", str(tmp_path / "missing.col")]) == 2
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2 1\ne 1 7\n")

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromideal.fields import GF, QQ, kth_roots_of_unity
+from chromideal.ideals import quotient_reduce
 from chromideal.poly import (
     LEX,
     FieldMismatchError,
@@ -305,3 +306,31 @@ def test_render_parse_round_trip_rationals(f):
 def test_render_parse_round_trip_gf7(f):
     f7 = Polynomial(F7, f.terms)
     assert parse_poly(render(f7), F7) == f7
+
+
+# --- canonical term dicts -------------------------------------------------------
+
+crowded_terms = st.lists(
+    st.tuples(st.dictionaries(st.integers(1, 2), st.integers(0, 2), max_size=2),
+              st.integers(-3, 3)),
+    max_size=4,
+)
+
+
+def _stores_no_zero(p):
+    return all(not p.field.is_zero(c) for c in p.terms.values())
+
+
+@given(st.sampled_from([GF(2), F7, QQ]), crowded_terms, crowded_terms, st.integers(-2, 2))
+def test_no_zero_coefficient_is_ever_stored(field, a_terms, b_terms, value):
+    """Few variables and small exponents make terms collide and cancel; no
+    operation may keep a cancelled term, or equality and rendering break."""
+    a = Polynomial(field, [(Monomial(e), c) for e, c in a_terms])
+    b = Polynomial(field, [(Monomial(e), c) for e, c in b_terms])
+    assert (a - a).is_zero
+    outputs = [a + b, a - b, a * b, a.substitute({1: value}),
+               parse_poly(render(a), field), quotient_reduce(a * b, 2)]
+    if not b.is_zero:
+        quots, rem = normal_form(a * b + a, [b], TermOrder.natural([1, 2], LEX))
+        outputs += quots + [rem]
+    assert all(_stores_no_zero(p) for p in outputs)
