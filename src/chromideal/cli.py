@@ -364,6 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact counts and dimensions can exceed CPython's default 4300-digit
+    # limit on int <-> str conversion, which json.dumps and json.load obey
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

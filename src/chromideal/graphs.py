@@ -3,6 +3,7 @@ perfect elimination orders, and a seeded chordal-graph generator."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Iterable, NamedTuple
 
@@ -173,22 +174,30 @@ def is_simplicial(g: Graph, v: int) -> bool:
 def perfect_elimination_order(g: Graph) -> tuple[EliminationRecord, ...] | None:
     """Remove a simplicial vertex per round (lowest index wins ties), recording
     its residual neighborhood; returns None when some residual graph has no
-    simplicial vertex, which happens exactly when g is not chordal."""
+    simplicial vertex, which happens exactly when g is not chordal.
+
+    A min-heap holds exactly the simplicial vertices of the residual graph,
+    so its minimum is the vertex a rescan of all remaining vertices would
+    pick.  Deleting a vertex only shrinks neighborhoods, and a subset of a
+    clique is a clique, so no queued vertex stops being simplicial; only the
+    deleted vertex's neighbors can start, and only they are tested again
+    (Rose, Tarjan and Lueker 1976).
+    """
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    heap = [v for v in adj if _adj_is_simplicial(adj, v)]  # ascending, so already a heap
+    queued = set(heap)
     records: list[EliminationRecord] = []
-    while adj:
-        found = None
-        for v in sorted(adj):
-            if _adj_is_simplicial(adj, v):
-                found = v
-                break
-        if found is None:
-            return None
-        records.append(EliminationRecord(found, frozenset(adj[found])))
-        for w in adj[found]:
-            adj[w].discard(found)
-        del adj[found]
-    return tuple(records)
+    while heap:
+        v = heapq.heappop(heap)
+        nv = adj.pop(v)
+        records.append(EliminationRecord(v, frozenset(nv)))
+        for w in nv:
+            adj[w].discard(v)
+        for w in nv:
+            if w not in queued and _adj_is_simplicial(adj, w):
+                queued.add(w)
+                heapq.heappush(heap, w)
+    return tuple(records) if not adj else None
 
 
 def is_chordal(g: Graph) -> bool:

@@ -55,9 +55,6 @@ class Monomial:
     def vars(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.exps)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         d = dict(self.exps)
         for v, e in other.exps:
@@ -108,7 +105,7 @@ class TermOrder:
     whose variables are all ranked.
     """
 
-    __slots__ = ("kind", "_rank", "_vars_desc")
+    __slots__ = ("kind", "_rank")
 
     def __init__(self, kind: str, ranks: Mapping[int, int]):
         if kind not in (LEX, GRLEX):
@@ -118,7 +115,6 @@ class TermOrder:
             raise ValueError("variable ranks must be distinct")
         self.kind = kind
         self._rank = rank
-        self._vars_desc = tuple(sorted(rank, key=rank.__getitem__, reverse=True))
 
     @classmethod
     def lex_descending(cls, variables: Sequence[int]) -> "TermOrder":
@@ -141,14 +137,19 @@ class TermOrder:
         return dict(self._rank)
 
     def sort_key(self, m: Monomial):
-        exps = m.as_dict()
-        for v in exps:
-            if v not in self._rank:
-                raise ValueError(f"variable x{v} is not ranked by this order")
-        vec = tuple(exps.get(v, 0) for v in self._vars_desc)
-        if self.kind == LEX:
-            return vec
-        return (m.degree,) + vec
+        """A key ordering monomials as this term order does: the (rank,
+        exponent) pairs of m's variables by descending rank, after the degree
+        for grlex.  It is order-equivalent to, not equal to, the exponent
+        vector over all ranked variables: a variable missing from one key has
+        exponent 0 there, so the first differing pair decides as the first
+        differing vector entry would.  Its size is that of m, not of the order.
+        """
+        rank = self._rank
+        try:
+            key = tuple(sorted(((rank[v], e) for v, e in m.exps), reverse=True))
+        except KeyError as exc:
+            raise ValueError(f"variable x{exc.args[0]} is not ranked by this order") from None
+        return key if self.kind == LEX else (m.degree, key)
 
     def __eq__(self, other) -> bool:
         return (
@@ -161,7 +162,8 @@ class TermOrder:
         return hash((self.kind, tuple(sorted(self._rank.items()))))
 
     def __repr__(self):
-        vs = " > ".join(f"x{v}" for v in self._vars_desc)
+        desc = sorted(self._rank, key=self._rank.__getitem__, reverse=True)
+        vs = " > ".join(f"x{v}" for v in desc)
         return f"TermOrder({self.kind}: {vs})"
 
 

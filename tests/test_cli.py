@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from chromideal.chordal import count_along_order
 from chromideal.cli import main
+from chromideal.graphs import Graph, perfect_elimination_order, random_chordal
+from chromideal.ideals import check_coloring
 
 TRIANGLE = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 C4 = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
@@ -158,12 +161,16 @@ def test_verify_cert_checks_claimed_degrees(capsys, k4, tmp_path, edit):
     assert code == 1 and verdict["valid"] is False
 
 
+def write_dimacs(path, g) -> str:
+    path.write_text(f"p edge {g.n} {g.edge_count()}\n"
+                    + "".join(f"e {u} {v}\n" for u, v in g.edges()))
+    return str(path)
+
+
 def odd_wheel(tmp_path, r):
     """W_r: a hub, vertex r + 1, joined to every vertex of the cycle 1..r."""
     edges = [(i, i % r + 1) for i in range(1, r + 1)] + [(i, r + 1) for i in range(1, r + 1)]
-    path = tmp_path / f"w{r}.col"
-    path.write_text(f"p edge {r + 1} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
-    return str(path)
+    return write_dimacs(tmp_path / f"w{r}.col", Graph(r + 1, edges))
 
 
 def test_cert_on_odd_wheel_w41(capsys, tmp_path, monkeypatch):
@@ -254,6 +261,24 @@ def test_verify_gb_rejects_forged_feasible_document(capsys, triangle, tmp_path, 
     doc_path.write_text(json.dumps(doc))
     code, verdict = run_json(capsys, "verify-gb", str(doc_path))
     assert code == 1 and verdict["valid"] is False
+
+
+def test_verify_gb_reads_integers_beyond_the_int_string_limit(capsys, triangle, tmp_path):
+    code, out = run(capsys, "gb", "--k", "3", "--p", "7", triangle)
+    assert code == 0 and '"dimension": 6,' in out
+    doc_path = tmp_path / "gb.json"
+    doc_path.write_text(out.replace('"dimension": 6,', f'"dimension": {"9" * 5000},'))
+    code, verdict = run_json(capsys, "verify-gb", str(doc_path))
+    assert code == 1 and verdict["valid"] is False
+
+
+@pytest.mark.parametrize("verb,field", [("count", "colorings"), ("gb", "dimension")])
+def test_exact_counts_beyond_the_int_string_limit(capsys, tmp_path, verb, field):
+    g = random_chordal(12000, 5, 1)
+    expected = count_along_order(perfect_elimination_order(g), 5)
+    assert expected > 10 ** 4300
+    code, doc = run_json(capsys, verb, "--k", "5", write_dimacs(tmp_path / "g.col", g))
+    assert code == 0 and doc[field] == expected
 
 
 def _name_first_edge_twice(coefficients: dict) -> dict:
@@ -380,3 +405,18 @@ def test_stdin_verify(capsys, k4, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, verdict = run_json(capsys, "verify-cert", "-")
     assert code == 0 and verdict["valid"] is True
+
+
+@pytest.mark.slow
+def test_chordal_verbs_at_one_hundred_thousand_vertices(capsys, tmp_path):
+    g = random_chordal(100000, 5, 1)
+    path = write_dimacs(tmp_path / "g.col", g)
+    code, doc = run_json(capsys, "check-chordal", path)
+    assert code == 0 and doc["chordal"] is True
+    peo = perfect_elimination_order(g)
+    assert doc["elimination"] == [{"vertex": r.vertex, "clique": sorted(r.clique)} for r in peo]
+    code, doc = run_json(capsys, "count", "--k", "5", path)
+    assert code == 0 and doc["colorings"] == count_along_order(peo, 5)
+    code, doc = run_json(capsys, "color", "--k", "5", path)
+    coloring = {int(v): c for v, c in doc["coloring"].items()}
+    assert code == 0 and len(coloring) == g.n and check_coloring(g, 5, coloring)

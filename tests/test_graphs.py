@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from chromideal.graphs import (
+    EliminationRecord,
     Graph,
     ParseError,
     complete_graph,
@@ -191,6 +192,67 @@ def test_peo_exists_iff_chordal_random_larger():
         assert (peo is not None) == (not has_long_induced_cycle(g))
         if peo is not None:
             validate_peo(g, peo)
+
+
+def rescanning_peo(g):
+    """Reference elimination order: each round rescans every remaining vertex
+    in index order and removes the first simplicial one (quadratic)."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    records = []
+    while adj:
+        found = next((v for v in sorted(adj)
+                      if all(b in adj[a] for a, b in itertools.combinations(adj[v], 2))), None)
+        if found is None:
+            return None
+        records.append(EliminationRecord(found, frozenset(adj[found])))
+        for w in adj.pop(found):
+            adj[w].discard(found)
+    return tuple(records)
+
+
+def fan(n, hub):
+    """The hub joined to every vertex of a path on the other n - 1 vertices."""
+    rest = [v for v in range(1, n + 1) if v != hub]
+    return Graph(n, [(hub, v) for v in rest] + list(zip(rest, rest[1:])))
+
+
+def star(n, hub):
+    return Graph(n, [(hub, v) for v in range(1, n + 1) if v != hub])
+
+
+def test_peo_matches_rescanning_reference_on_random_graphs():
+    import random
+
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        density = rng.choice([0.2, 0.5, 0.8])
+        g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < density])
+        peo = perfect_elimination_order(g)
+        assert peo == rescanning_peo(g)
+        outcomes.add(peo is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 17, 90, 400])
+def test_peo_matches_rescanning_reference_on_random_chordal(n):
+    for c in range(2, 9):
+        for seed in range(1, 4 if n < 400 else 2):
+            g = random_chordal(n, c, seed)
+            peo = perfect_elimination_order(g)
+            assert peo is not None and peo == rescanning_peo(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13])
+def test_peo_matches_rescanning_reference_on_families(n):
+    graphs = [complete_graph(n), star(n, 1), star(n, (n + 1) // 2), star(n, n),
+              fan(n, 1), fan(n, (n + 1) // 2), fan(n, n)]
+    if n >= 4:
+        graphs.append(Graph(n, cycle(n).edges() + [(1, 3)]))
+        graphs.append(Graph(n, cycle(n).edges() + [(2, n)]))
+    for g in graphs:
+        assert perfect_elimination_order(g) == rescanning_peo(g)
 
 
 # --- random chordal generator --------------------------------------------------------

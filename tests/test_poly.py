@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from chromideal.fields import GF, QQ, kth_roots_of_unity
 from chromideal.ideals import quotient_reduce
 from chromideal.poly import (
+    GRLEX,
     LEX,
     FieldMismatchError,
     Monomial,
@@ -118,6 +119,38 @@ def test_order_total_and_multiplicative(a, b, c):
         assert (ka == kb) == (a == b)
         if ka > kb:
             assert order.sort_key(a * c) > order.sort_key(b * c)
+
+
+def dense_sort_key(order, m):
+    """Reference key: the exponent vector over every ranked variable, largest
+    rank first, prefixed by the degree under grlex."""
+    rank = order.ranks
+    exps = dict(m.exps)
+    assert set(exps) <= set(rank)
+    vec = tuple(exps.get(v, 0) for v in sorted(rank, key=rank.__getitem__, reverse=True))
+    return vec if order.kind == LEX else (m.degree,) + vec
+
+
+@st.composite
+def order_and_monomials(draw):
+    """An order with permuted, non-contiguous, possibly negative ranks, and
+    monomials over its variables."""
+    size = draw(st.integers(1, 6))
+    variables = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size, unique=True))
+    ranks = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size, unique=True))
+    order = TermOrder(draw(st.sampled_from([LEX, GRLEX])), dict(zip(variables, ranks)))
+    exps = st.dictionaries(st.sampled_from(variables), st.integers(0, 3))
+    return order, draw(st.lists(st.builds(Monomial, exps), min_size=2, max_size=10))
+
+
+@given(order_and_monomials())
+def test_sort_key_orders_as_the_dense_exponent_vector(case):
+    order, monos = case
+    for a in monos:
+        for b in monos:
+            ka, kb = order.sort_key(a), order.sort_key(b)
+            da, db = dense_sort_key(order, a), dense_sort_key(order, b)
+            assert (ka < kb) == (da < db) and (ka == kb) == (da == db)
 
 
 # --- division -----------------------------------------------------------------
