@@ -14,6 +14,14 @@ deterministic for fixed input.  Both always run under a memory budget, so
 they raise FillBudgetExceeded instead of exhausting memory: solve_gf2 before
 allocating a matrix above _DENSE_BYTES, solve_sparse once fill-in stores more
 than _FILL_BUDGET nonzeros.
+
+Both stop pivoting as soon as no unpivoted row carries a nonzero rhs.  A
+nonzero rhs reaches a row only from a pivot row whose rhs is nonzero, so
+every later pivot row would have rhs 0 and would change no other row's rhs.
+The rest of the system is then homogeneous, hence consistent, and its pivot
+columns would solve to 0.  So no contradiction can come later, and the
+vector returned, with those columns free at 0, is the one the full
+elimination returns.
 """
 
 from __future__ import annotations
@@ -28,9 +36,10 @@ from .fields import PrimeField
 # Bytes the dense GF(2) matrix may take.  Row updates copy the selected rows,
 # so the peak can reach twice this, about the 4.9 GB of _FILL_BUDGET.
 _DENSE_BYTES = 2_000_000_000
-# Stored nonzeros allowed during one odd-p elimination.  Measured at 430-620
-# bytes per stored entry, 8 M entries is about 4.9 GB, so the budget trips
-# before the process runs out of memory on an 8 GB machine.
+# Stored nonzeros allowed during one odd-p elimination.  Sized at 430-620
+# bytes per stored entry (about 4.9 GB for 8 M), measured while the column
+# heap took an entry per fill-in.  Without those entries the budget trips far
+# earlier: K_7/k=6/GF(5) at degree 13 reaches it at a 1.14 GB peak RSS.
 _FILL_BUDGET = 8_000_000
 
 
@@ -52,12 +61,18 @@ def solve_gf2(
     for j, rows in enumerate(col_rows):
         if rows:
             m[np.asarray(rows, dtype=np.intp), j >> 6] |= np.uint64(1 << (j & 63))
+    wb, bb = divmod(n_cols, 64)
+    rhs_bit = np.uint64(1 << bb)
     for i in rhs_rows:
-        m[i, n_cols >> 6] |= np.uint64(1 << (n_cols & 63))
+        m[i, wb] |= rhs_bit
 
     used = np.zeros(m.shape[0], dtype=bool)
     pivot_of_col = np.full(n_cols, -1, dtype=np.int64)
+    # unused rows whose rhs bit is set; changes only when a pivot row's is set
+    live = int(np.count_nonzero(m[:, wb] & rhs_bit))
     for j in range(n_cols):
+        if not live:
+            break
         w, b = divmod(j, 64)
         has = ((m[:, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
         candidates = np.flatnonzero(has & ~used)
@@ -68,11 +83,13 @@ def solve_gf2(
         pivot_of_col[j] = piv
         sel = np.flatnonzero(has)
         sel = sel[sel != piv]
+        if m[piv, wb] & rhs_bit:
+            flipped = sel[~used[sel]]
+            live += flipped.size - 1 - 2 * int(np.count_nonzero(m[flipped, wb] & rhs_bit))
         if sel.size:
             m[sel] ^= m[piv]
 
-    wb, bb = divmod(n_cols, 64)
-    rhs_bits = ((m[:, wb] >> np.uint64(bb)) & np.uint64(1)).astype(bool)
+    rhs_bits = (m[:, wb] & rhs_bit).astype(bool)
     if bool(np.any(rhs_bits & ~used)):
         return None
     x = [0] * n_cols
@@ -94,6 +111,16 @@ def solve_sparse(
     Rows never touched by a column are the equations 0 = rhs, so a nonzero
     rhs on such a row makes the system inconsistent immediately.  Raises
     FillBudgetExceeded as soon as fill-in stores more than _FILL_BUDGET nonzeros.
+
+    The pivot is the exact minimum of (active count, column index), with
+    the sparsest row (lowest index on ties) inside that column.  A pivot
+    step changes only the counts of the pivot row's columns, and retiring
+    the pivot row lowers each of them by one, so each is pushed once then,
+    with its final count; fill-in and cancellation push nothing.  The heap
+    thus holds every active column's current count, and other entries are
+    stale.  Pivoting stops once no unpivoted row has a nonzero rhs; the
+    returned vector is the one the full elimination returns (see the module
+    docstring).
     """
     p = field.p
     rows: dict[int, dict[int, int]] = {}
@@ -113,65 +140,66 @@ def solve_sparse(
     for i in rhs_d:
         if not rows.get(i):
             return None  # equation 0 = nonzero
+    live = set(rhs_d)  # unpivoted rows with a nonzero rhs
 
-    heap: list[tuple[int, int]] = []
-    for j, members in col_rows.items():
-        if members:
-            heapq.heappush(heap, (len(members), j))
+    heap = [(len(members), j) for j, members in col_rows.items() if members]
+    heapq.heapify(heap)
     pivots: list[tuple[int, int]] = []
 
-    while heap:
+    while live and heap:
         count, j = heapq.heappop(heap)
-        members = col_rows.get(j)
-        if not members or len(members) != count:
-            continue
+        members = col_rows[j]
+        if len(members) != count:
+            continue  # stale: the column's current count is in the heap too
         i = min(members, key=lambda r: (len(rows[r]), r))
         piv_row = rows[i]
         piv_inv = pow(piv_row[j], p - 2, p)
         piv_rhs = rhs_d.get(i, 0)
-        for r in [r for r in members if r != i]:
-            factor = rows[r][j] * piv_inv % p
+        live.discard(i)
+        rest = [(c, v) for c, v in piv_row.items() if c != j]
+        for r in members:
+            if r == i:
+                continue
             target = rows[r]
-            for c, v in piv_row.items():
-                nv = (target.get(c, 0) - factor * v) % p
-                if not nv:
-                    if c in target:
-                        del target[c]
-                        nonzeros -= 1
-                        cr = col_rows[c]
-                        cr.discard(r)
-                        if cr:
-                            heapq.heappush(heap, (len(cr), c))
-                else:
-                    if c not in target:
-                        nonzeros += 1
-                        cr = col_rows[c]
-                        cr.add(r)
-                        heapq.heappush(heap, (len(cr), c))
+            factor = target.pop(j) * piv_inv % p
+            nonzeros -= 1
+            for c, v in rest:
+                old = target.get(c)
+                if old is None:  # fill-in
+                    target[c] = -factor * v % p
+                    nonzeros += 1
+                    col_rows[c].add(r)
+                elif nv := (old - factor * v) % p:
                     target[c] = nv
+                else:  # cancellation
+                    del target[c]
+                    nonzeros -= 1
+                    col_rows[c].discard(r)
             if piv_rhs:
                 nr = (rhs_d.get(r, 0) - factor * piv_rhs) % p
                 if nr:
                     rhs_d[r] = nr
+                    live.add(r)
                 else:
                     rhs_d.pop(r, None)
+                    live.discard(r)
             if not target:
                 if r in rhs_d:
                     return None  # row collapsed to 0 = nonzero
                 del rows[r]
-        # retire the pivot row and column
-        for c in piv_row:
-            if c != j:
-                cr = col_rows[c]
-                cr.discard(i)
-                if cr:
-                    heapq.heappush(heap, (len(cr), c))
+        # retire the pivot row and column; the counts of the pivot row's
+        # columns, the only ones this step changed, go on the heap
+        for c, _ in rest:
+            cr = col_rows[c]
+            cr.discard(i)
+            if cr:
+                heapq.heappush(heap, (len(cr), c))
         col_rows[j] = set()
         pivots.append((i, j))
         if nonzeros > _FILL_BUDGET:
             raise FillBudgetExceeded(f"elimination fill-in exceeded {_FILL_BUDGET} entries")
 
-    # remaining active rows are empty; back-substitute with free columns at 0
+    # back-substitute with free columns at 0
     x: dict[int, int] = {}
     for i, j in reversed(pivots):
         s = rhs_d.get(i, 0)

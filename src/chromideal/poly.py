@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class FieldMismatchError(ValueError):
@@ -30,7 +30,7 @@ class Monomial:
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
+        items = exps.items() if isinstance(exps, (dict, Mapping)) else exps
         pairs = []
         for v, e in items:
             if e == 0:
@@ -179,7 +179,7 @@ class Polynomial:
 
     def __init__(self, field, terms: Mapping[Monomial, object] = ()):
         canon: dict[Monomial, object] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for m, c in items:
             cc = field.element(c)
             if not field.is_zero(cc):

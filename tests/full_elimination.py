@@ -1,0 +1,156 @@
+"""Full-elimination GF(2) and GF(p) kernels: a test-only oracle.
+
+These are the kernels of chromideal.linalg before they learned to stop once
+no unpivoted row carries a nonzero rhs, and before the column heap was
+pushed only when a pivot row retires.  They pivot through the whole system,
+so the differential tests can check that the production kernels return
+equal vectors, not just valid ones.  The memory budgets are left out: the
+oracle only runs on small systems.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from chromideal.fields import PrimeField
+
+
+def full_solve_gf2(
+    n_rows: int, col_rows: Sequence[Sequence[int]], rhs_rows: Sequence[int]
+) -> list[int] | None:
+    """Solve over GF(2).  Columns are given by their nonzero row indices
+    (0-based, each listed once); rhs_rows lists the rows where b = 1."""
+    n_cols = len(col_rows)
+    words = (n_cols + 1 + 63) // 64 or 1
+    m = np.zeros((max(n_rows, 1), words), dtype=np.uint64)
+    for j, rows in enumerate(col_rows):
+        if rows:
+            m[np.asarray(rows, dtype=np.intp), j >> 6] |= np.uint64(1 << (j & 63))
+    for i in rhs_rows:
+        m[i, n_cols >> 6] |= np.uint64(1 << (n_cols & 63))
+
+    used = np.zeros(m.shape[0], dtype=bool)
+    pivot_of_col = np.full(n_cols, -1, dtype=np.int64)
+    for j in range(n_cols):
+        w, b = divmod(j, 64)
+        has = ((m[:, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
+        candidates = np.flatnonzero(has & ~used)
+        if candidates.size == 0:
+            continue
+        piv = int(candidates[0])
+        used[piv] = True
+        pivot_of_col[j] = piv
+        sel = np.flatnonzero(has)
+        sel = sel[sel != piv]
+        if sel.size:
+            m[sel] ^= m[piv]
+
+    wb, bb = divmod(n_cols, 64)
+    rhs_bits = ((m[:, wb] >> np.uint64(bb)) & np.uint64(1)).astype(bool)
+    if bool(np.any(rhs_bits & ~used)):
+        return None
+    x = [0] * n_cols
+    for j in range(n_cols):
+        piv = pivot_of_col[j]
+        if piv >= 0 and rhs_bits[piv]:
+            x[j] = 1
+    return x
+
+
+def full_solve_sparse(
+    col_entries: Sequence[Sequence[tuple[int, int]]],
+    rhs: Mapping[int, int],
+    field: PrimeField,
+) -> list[int] | None:
+    """Solve over GF(p).  Columns are given by (row, coefficient) pairs with
+    each row listed at most once; rows are arbitrary hashable indices.
+
+    Rows never touched by a column are the equations 0 = rhs, so a nonzero
+    rhs on such a row makes the system inconsistent immediately.
+    """
+    p = field.p
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for j, entries in enumerate(col_entries):
+        members = set()
+        for i, c in entries:
+            c %= p
+            if c:
+                rows.setdefault(i, {})[j] = c
+                members.add(i)
+        col_rows[j] = members
+
+    rhs_d = {i: c % p for i, c in rhs.items() if c % p}
+    for i in rhs_d:
+        if not rows.get(i):
+            return None  # equation 0 = nonzero
+
+    heap: list[tuple[int, int]] = []
+    for j, members in col_rows.items():
+        if members:
+            heapq.heappush(heap, (len(members), j))
+    pivots: list[tuple[int, int]] = []
+
+    while heap:
+        count, j = heapq.heappop(heap)
+        members = col_rows.get(j)
+        if not members or len(members) != count:
+            continue
+        i = min(members, key=lambda r: (len(rows[r]), r))
+        piv_row = rows[i]
+        piv_inv = pow(piv_row[j], p - 2, p)
+        piv_rhs = rhs_d.get(i, 0)
+        for r in [r for r in members if r != i]:
+            factor = rows[r][j] * piv_inv % p
+            target = rows[r]
+            for c, v in piv_row.items():
+                nv = (target.get(c, 0) - factor * v) % p
+                if not nv:
+                    if c in target:
+                        del target[c]
+                        cr = col_rows[c]
+                        cr.discard(r)
+                        if cr:
+                            heapq.heappush(heap, (len(cr), c))
+                else:
+                    if c not in target:
+                        cr = col_rows[c]
+                        cr.add(r)
+                        heapq.heappush(heap, (len(cr), c))
+                    target[c] = nv
+            if piv_rhs:
+                nr = (rhs_d.get(r, 0) - factor * piv_rhs) % p
+                if nr:
+                    rhs_d[r] = nr
+                else:
+                    rhs_d.pop(r, None)
+            if not target:
+                if r in rhs_d:
+                    return None  # row collapsed to 0 = nonzero
+                del rows[r]
+        # retire the pivot row and column
+        for c in piv_row:
+            if c != j:
+                cr = col_rows[c]
+                cr.discard(i)
+                if cr:
+                    heapq.heappush(heap, (len(cr), c))
+        col_rows[j] = set()
+        pivots.append((i, j))
+
+    # remaining active rows are empty; back-substitute with free columns at 0
+    x: dict[int, int] = {}
+    for i, j in reversed(pivots):
+        s = rhs_d.get(i, 0)
+        row = rows[i]
+        for c, v in row.items():
+            if c == j:
+                continue
+            xc = x.get(c)
+            if xc is not None:
+                s = (s - v * xc) % p
+        x[j] = s * pow(row[j], p - 2, p) % p
+    return [x.get(j, 0) for j in range(len(col_entries))]

@@ -1,0 +1,125 @@
+"""The production kernels return the vectors that full elimination returns.
+
+solve_sparse and solve_gf2 stop pivoting once no unpivoted row carries a
+nonzero rhs, and solve_sparse pushes a column on its heap only when a pivot
+row retires.  Neither may change the answer: these tests compare the returned
+vectors (not just their validity) with the full-elimination oracle in
+full_elimination.py, kernel by kernel and through search_certificate.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import chromideal.linalg
+from chromideal.certificates import search_certificate
+from chromideal.fields import GF
+from chromideal.graphs import Graph, complete_graph
+from chromideal.linalg import solve_gf2, solve_sparse
+from full_elimination import full_solve_gf2, full_solve_sparse
+
+PRIMES = (2, 3, 5, 7)
+
+
+def gf2_view(n_rows, cols, rhs):
+    """The GF(2) kernel's input for a system given over the integers."""
+    col_rows = [[i for i, c in entries if c % 2] for entries in cols]
+    return n_rows, col_rows, [i for i, c in rhs.items() if c % 2]
+
+
+def assert_kernels_match(n_rows, cols, rhs, p):
+    expected = full_solve_sparse(cols, rhs, GF(p))
+    assert solve_sparse(cols, rhs, GF(p)) == expected
+    if p == 2:
+        view = gf2_view(n_rows, cols, rhs)
+        assert solve_gf2(*view) == full_solve_gf2(*view)
+        assert (full_solve_gf2(*view) is None) == (expected is None)
+    return expected
+
+
+@st.composite
+def systems(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(0, 8))
+    entry = st.tuples(st.integers(0, n_rows - 1), st.integers(0, p - 1))
+    cols = [draw(st.lists(entry, max_size=n_rows, unique_by=lambda e: e[0]))
+            for _ in range(n_cols)]
+    if draw(st.booleans()):  # consistent: b = A x0
+        x0 = draw(st.lists(st.integers(0, p - 1), min_size=n_cols, max_size=n_cols))
+        rhs = {}
+        for j, entries in enumerate(cols):
+            for i, c in entries:
+                rhs[i] = (rhs.get(i, 0) + c * x0[j]) % p
+    else:
+        rhs = draw(st.dictionaries(st.integers(0, n_rows - 1), st.integers(0, p - 1)))
+    return n_rows, cols, rhs, p
+
+
+@given(systems())
+def test_kernels_return_the_full_elimination_vector(system):
+    assert_kernels_match(*system)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kernels_match_on_certificate_shaped_systems(p):
+    """Wider systems shaped like certificate systems: a few nonzeros per
+    column and the rhs on one or several rows.  Both outcomes must occur."""
+    rng = random.Random(p)
+    outcomes = set()
+    for _ in range(40):
+        n_rows, n_cols = rng.randint(10, 40), rng.randint(10, 60)
+        cols = [[(i, rng.randrange(1, p)) for i in rng.sample(range(n_rows), 3)]
+                for _ in range(n_cols)]
+        rhs = {i: rng.randrange(1, p) for i in rng.sample(range(n_rows), rng.randint(1, 4))}
+        outcomes.add(assert_kernels_match(n_rows, cols, rhs, p) is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_zero_rhs_returns_the_zero_vector(p):
+    cols = [[(0, 1), (1, 1)], [(1, 1), (2, 1)], []]
+    for rhs in ({}, {0: 0}, {0: p, 2: 2 * p}):
+        assert assert_kernels_match(3, cols, rhs, p) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_empty_columns_and_rhs_on_several_rows(p):
+    # column 1 is empty and column 3 holds only multiples of p
+    cols = [[(0, 1)], [], [(1, 1), (2, 1)], [(0, p), (2, 2 * p)], [(2, 1)]]
+    assert assert_kernels_match(3, cols, {0: 1, 1: 1, 2: 1}, p) == [1, 0, 1, 0, 0]
+    assert assert_kernels_match(3, cols, {1: 1}, p) == [0, 0, 1, 0, p - 1]
+    # row 3 is touched by no column: 0 = 1
+    assert solve_sparse(cols, {0: 1, 3: 1}, GF(p)) is None
+    assert solve_gf2(*gf2_view(4, cols, {0: 1, 3: 1})) is None
+
+
+def planted(n, k, rng):
+    """K_{k+1} on vertices 1..k+1 plus a third of the other pairs."""
+    clique = set(itertools.combinations(range(1, k + 2), 2))
+    others = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in clique]
+    return Graph(n, sorted(clique | set(rng.sample(others, len(others) // 3))))
+
+
+def certificate_cells():
+    # the complete-graph cells of the benchmark grid, then planted graphs
+    cells = [(complete_graph(n), k, p) for n, k, p in
+             [(4, 3, 2), (4, 3, 5), (4, 3, 7), (5, 4, 3), (5, 4, 5), (5, 4, 7), (6, 5, 2)]]
+    rng = random.Random(9)
+    cells += [(planted(n, k, rng), k, p) for n, k, p in
+              [(7, 3, 5), (8, 3, 7), (9, 3, 5), (6, 4, 3), (6, 4, 5), (6, 4, 7), (9, 3, 2)]]
+    return cells
+
+
+@pytest.mark.parametrize("g, k, p", certificate_cells())
+def test_search_certificate_matches_full_elimination(g, k, p, monkeypatch):
+    cert = search_certificate(g, k, GF(p))
+    monkeypatch.setattr(chromideal.linalg, "solve_sparse", full_solve_sparse)
+    monkeypatch.setattr(chromideal.linalg, "solve_gf2", full_solve_gf2)
+    full = search_certificate(g, k, GF(p))
+    assert cert is not None and full is not None
+    assert (cert.degree, cert.infeasible_degrees) == (full.degree, full.infeasible_degrees)
+    assert cert.edge_coeffs == full.edge_coeffs
