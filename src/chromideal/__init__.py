@@ -61,7 +61,6 @@ from .ideals import (
     quotient_reduce,
 )
 from .oracle import (
-    ColoringEnumeration,
     NotAGroebnerBasis,
     OracleBudgetExceeded,
     OracleTooLarge,
@@ -78,7 +77,6 @@ from .poly import (
     ZeroPolynomialError,
     complete_homogeneous,
     elementary_symmetric,
-    elementary_symmetric_poly,
     normal_form,
     parse_poly,
     render,

@@ -22,6 +22,7 @@ from . import linalg
 from .fields import PrimeField
 from .graphs import Graph
 from .ideals import (
+    JSON_VERSION,
     ColoringIdeal,
     _check_characteristic,
     field_from_json,
@@ -86,7 +87,7 @@ class LinearSystem:
     """The degree-d certificate system for one graph.
 
     Columns are (edge, monomial) pairs; conceptually there is one row per
-    quotient-ring monomial (n_rows = k^n), but only rows touched by some
+    quotient-ring monomial (k^n of them), but only rows touched by some
     column are materialized, plus the constant row carrying the rhs 1.  A
     row is named by its monomial's code: the exponent of x_v is the base-k
     digit of weight k^(v-1), so the constant row is code 0.
@@ -100,10 +101,6 @@ class LinearSystem:
     col_rows: list[list[int]]
     row_monomials: list[int]
     rhs_row: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.k ** self.graph.n
 
     @property
     def n_cols(self) -> int:
@@ -293,35 +290,30 @@ def verify_certificate(cert: Certificate, ideal: ColoringIdeal) -> bool:
     return total == one
 
 
-def _split_off_vertex_quotients(f: Polynomial, k: int):
-    """Write f = r + sum_i q_i * (x_i^k - 1) with every exponent of r below k.
+def _split_off_vertex_quotients(f: Polynomial, k: int) -> dict[int, dict[Monomial, object]]:
+    """The q_i of f = quotient_reduce(f, k) + sum_i q_i * (x_i^k - 1), as
+    term dicts keyed by vertex.
 
-    Telescopes each term x^a = x^(a mod k) * prod_i (x_i^k)^(q_i) through
-    y^q - 1 = (y - 1)(1 + y + ... + y^(q-1)); both outputs come back as term
-    dicts, quotients keyed by vertex.
+    Telescopes each term x^a = x^(a mod k) * prod_i (x_i^k)^(a_i div k)
+    through y^q - 1 = (y - 1)(1 + y + ... + y^(q-1)).
     """
     field = f.field
-    reduced: list[tuple[Monomial, object]] = []
     quotients: dict[int, dict[Monomial, object]] = {}
     for m, c in f.terms.items():
-        base = {v: e % k for v, e in m.exps if e % k}
-        high = [(v, e // k) for v, e in m.exps if e >= k]
-        reduced.append((Monomial(base), c))
-        prefix: dict[int, int] = dict(base)
-        for v, q in high:
-            steps = ((Monomial({**prefix, v: prefix.get(v, 0) + k * t}), c) for t in range(q))
-            _add_terms(field, quotients.setdefault(v, {}), steps)
-            prefix[v] = prefix.get(v, 0) + k * q
-    return _add_terms(field, {}, reduced), quotients
+        prefix = {v: e % k for v, e in m.exps}
+        for v, e in m.exps:
+            if e >= k:
+                steps = ((Monomial({**prefix, v: prefix[v] + k * t}), c) for t in range(e // k))
+                _add_terms(field, quotients.setdefault(v, {}), steps)
+                prefix[v] = e
+    return quotients
 
 
-def lift_certificate(cert: Certificate, g: Graph, k: int) -> Certificate:
+def lift_certificate(cert: Certificate, g: Graph) -> Certificate:
     """Complete a quotient-ring certificate to a full-ring identity by adding
     vertex-generator coefficients; raises InvalidCertificate when the input
     does not verify in the quotient ring."""
-    if k != cert.k:
-        raise ValueError(f"certificate is for k={cert.k}, not k={k}")
-    field = cert.field
+    field, k = cert.field, cert.k
     edges = set(g.edges())
     for e in cert.edge_coeffs:
         if e not in edges:
@@ -329,12 +321,11 @@ def lift_certificate(cert: Certificate, g: Graph, k: int) -> Certificate:
     total = Polynomial.zero(field)
     for e, beta in cert.edge_coeffs.items():
         total = total + beta * mk_edge_poly(e[0], e[1], k, field)
-    reduced, quotients = _split_off_vertex_quotients(total, k)
-    if Polynomial(field, reduced) != Polynomial.constant(field, field.one):
+    if quotient_reduce(total, k) != Polynomial.constant(field, field.one):
         raise InvalidCertificate("coefficients do not combine to 1 in the quotient ring")
     vertex_coeffs = {
         v: Polynomial(field, terms).scale(field.neg(field.one))
-        for v, terms in sorted(quotients.items())
+        for v, terms in sorted(_split_off_vertex_quotients(total, k).items())
     }
     vertex_coeffs = {v: p for v, p in vertex_coeffs.items() if not p.is_zero}
     return replace(cert, vertex_coeffs=vertex_coeffs)
@@ -344,7 +335,7 @@ def lift_certificate(cert: Certificate, g: Graph, k: int) -> Certificate:
 
 def certificate_to_json_dict(cert: Certificate, g: Graph) -> dict:
     return {
-        "version": 1,
+        "version": JSON_VERSION,
         "kind": "certificate",
         "field": field_to_json(cert.field),
         "k": cert.k,
@@ -367,7 +358,7 @@ def certificate_search_to_json_dict(g: Graph, k: int, field: PrimeField,
     (default 3k + 1): every admissible degree is infeasible."""
     d_max = _degree_bound(k, d_max)
     return {
-        "version": 1,
+        "version": JSON_VERSION,
         "kind": "certificate_search",
         "field": field_to_json(field),
         "k": k,

@@ -41,6 +41,7 @@ from .graphs import (
     perfect_elimination_order,
 )
 from .ideals import (
+    JSON_VERSION,
     build_ideal,
     check_coloring,
     field_from_json,
@@ -60,8 +61,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
-
-JSON_VERSION = 1
 
 
 class UsageError(Exception):
@@ -179,7 +178,7 @@ def cmd_count(args) -> int:
 
 def cmd_oracle_count(args) -> int:
     g = _load(args)
-    n = brute_force_colorings(g, args.k).count
+    n = brute_force_colorings(g, args.k)
     _emit({"version": JSON_VERSION, "kind": "count", "method": "brute-force",
            "k": args.k, "colorings": n})
     return EXIT_OK
@@ -209,7 +208,7 @@ def cmd_cert(args) -> int:
         _emit(certificate_search_to_json_dict(g, args.k, field, args.d_max))
         return EXIT_NEGATIVE
     if args.lift:
-        cert = lift_certificate(cert, g, args.k)
+        cert = lift_certificate(cert, g)
     _emit(certificate_to_json_dict(cert, g))
     return EXIT_OK
 

@@ -105,7 +105,7 @@ class RationalField:
     char = 0
 
     def element(self, v) -> Fraction:
-        return Fraction(v)
+        return v if isinstance(v, Fraction) else Fraction(v)
 
     def add(self, a, b):
         return a + b

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graphs import Graph
-from .poly import MONOMIAL_ONE, Monomial, Polynomial, _add_terms
+from .poly import MONOMIAL_ONE, Monomial, Polynomial
 
 
 class CharacteristicDividesK(ValueError):
@@ -65,8 +65,8 @@ def quotient_reduce(f: Polynomial, k: int) -> Polynomial:
     """Reduce every exponent mod k (the image modulo all x_i^k - 1)."""
     if k < 1:
         raise ValueError("k must be positive")
-    reduced = ((Monomial({v: e % k for v, e in m.exps}), c) for m, c in f.terms.items())
-    return Polynomial(f.field, _add_terms(f.field, {}, reduced))
+    return Polynomial(f.field, ((Monomial({v: e % k for v, e in m.exps}), c)
+                                for m, c in f.terms.items()))
 
 
 def check_coloring(g: Graph, k: int, coloring: Mapping[int, int]) -> bool:
@@ -78,6 +78,10 @@ def check_coloring(g: Graph, k: int, coloring: Mapping[int, int]) -> bool:
         if not (0 <= c < k):
             raise ValueError(f"color {c} out of range 0..{k - 1}")
     return all(coloring[u] != coloring[v] for u, v in g.edges())
+
+
+# The "version" of every JSON document the package writes.
+JSON_VERSION = 1
 
 
 def graph_to_json(g: Graph) -> dict:

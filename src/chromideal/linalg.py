@@ -34,12 +34,13 @@ import numpy as np
 from .fields import PrimeField
 
 # Bytes the dense GF(2) matrix may take.  Row updates copy the selected rows,
-# so the peak can reach twice this, about the 4.9 GB of _FILL_BUDGET.
+# so the peak can reach twice this, about 4 GB.
 _DENSE_BYTES = 2_000_000_000
-# Stored nonzeros allowed during one odd-p elimination.  Sized at 430-620
-# bytes per stored entry (about 4.9 GB for 8 M), measured while the column
-# heap took an entry per fill-in.  Without those entries the budget trips far
-# earlier: K_7/k=6/GF(5) at degree 13 reaches it at a 1.14 GB peak RSS.
+# Stored nonzeros allowed during one odd-p elimination.  A stored entry costs
+# about 125 bytes: K_7/k=6/GF(5) at degree 13 reaches 8 M on its first ladder
+# rung at a 1.14 GB peak RSS, 139 MB of it assembly (CPython 3.11, 2-vCPU
+# x86-64 guest).  A larger budget only delays the failure: at 30 M that rung
+# ran for 16 minutes, reached 4.06 GB and had not finished.
 _FILL_BUDGET = 8_000_000
 
 

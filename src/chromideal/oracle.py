@@ -8,7 +8,6 @@ loudly instead of hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .chordal import GroebnerBasis
@@ -28,31 +27,24 @@ class NotAGroebnerBasis(ValueError):
     """reduce_basis requires input that already passes the S-pair criterion."""
 
 
-@dataclass(frozen=True)
-class ColoringEnumeration:
-    count: int
-    witnesses: tuple[dict[int, int], ...] | None = None
+# Assignments brute_force_colorings may enumerate (k^n).
+_ENUMERATION_BUDGET = 10**8
 
 
-def brute_force_colorings(
-    g: Graph, k: int, collect: bool = False, budget: int = 10**8
-) -> ColoringEnumeration:
+def brute_force_colorings(g: Graph, k: int) -> int:
     """Exact labeled proper-coloring count by backtracking enumeration."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k**g.n > budget:
-        raise OracleTooLarge(f"{k}^{g.n} assignments exceed budget {budget}")
+    if k**g.n > _ENUMERATION_BUDGET:
+        raise OracleTooLarge(f"{k}^{g.n} assignments exceed budget {_ENUMERATION_BUDGET}")
     earlier = {v: [u for u in g.neighbors(v) if u < v] for v in g.vertices}
     colors = [0] * (g.n + 1)
-    witnesses: list[dict[int, int]] = []
     count = 0
 
     def walk(v: int):
         nonlocal count
         if v > g.n:
             count += 1
-            if collect:
-                witnesses.append({u: colors[u] for u in g.vertices})
             return
         for c in range(k):
             if all(colors[u] != c for u in earlier[v]):
@@ -61,7 +53,7 @@ def brute_force_colorings(
         colors[v] = 0
 
     walk(1)
-    return ColoringEnumeration(count, tuple(witnesses) if collect else None)
+    return count
 
 
 def buchberger_criterion(
@@ -87,19 +79,14 @@ def buchberger_criterion(
 
 
 def buchberger(
-    gens: Sequence[Polynomial],
-    order: TermOrder,
-    budget: int = 100_000,
-    selection: str = "normal",
+    gens: Sequence[Polynomial], order: TermOrder, budget: int = 100_000
 ) -> GroebnerBasis:
     """Textbook completion: reduce S-pairs until none survive.
 
-    selection is 'normal' (smallest pair lcm under the order first) or
-    'first' (oldest pair first).  Each S-pair reduction costs one unit of
-    budget; exceeding it raises OracleBudgetExceeded.
+    Uses the normal selection strategy (smallest pair lcm under the order
+    first).  Each S-pair reduction costs one unit of budget; exceeding it
+    raises OracleBudgetExceeded.
     """
-    if selection not in ("normal", "first"):
-        raise ValueError(f"unknown selection strategy {selection!r}")
     basis = [p.monic(order) for p in gens if not p.is_zero]
     if not basis:
         raise ValueError("no nonzero generators")
@@ -107,10 +94,7 @@ def buchberger(
     pairs = {(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))}
     steps = 0
     while pairs:
-        if selection == "normal":
-            pick = min(pairs, key=lambda ab: (order.sort_key(heads[ab[0]].lcm(heads[ab[1]])), ab))
-        else:
-            pick = min(pairs)
+        pick = min(pairs, key=lambda ab: (order.sort_key(heads[ab[0]].lcm(heads[ab[1]])), ab))
         pairs.remove(pick)
         a, b = pick
         if heads[a].lcm(heads[b]) == heads[a] * heads[b]:

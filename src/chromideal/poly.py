@@ -4,8 +4,8 @@ Monomials map 1-indexed variable numbers to positive exponents; polynomials
 map monomials to nonzero coefficients.  Term orders (lex and graded lex) are
 explicit objects passed to every order-sensitive operation, so one polynomial
 can be read under several orders.  Includes multivariate division with
-quotient tracking, S-polynomials, the symmetric-polynomial constructors, and
-a canonical text rendering with a round-trip parser.
+quotient tracking, S-polynomials, and a canonical text rendering with a
+round-trip parser.
 """
 
 from __future__ import annotations
@@ -172,20 +172,16 @@ class Polynomial:
 
     Instances are treated as immutable values; all arithmetic returns new
     polynomials.  Coefficients are canonicalized through the field on
-    construction, and zero coefficients are dropped.
+    construction, the coefficients of a repeated monomial are added, and
+    zero sums are dropped.
     """
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms: Mapping[Monomial, object] = ()):
-        canon: dict[Monomial, object] = {}
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
-        for m, c in items:
-            cc = field.element(c)
-            if not field.is_zero(cc):
-                canon[m] = cc
         self.field = field
-        self.terms = canon
+        self.terms = _add_terms(field, {}, ((m, field.element(c)) for m, c in items))
 
     @classmethod
     def zero(cls, field) -> "Polynomial":
@@ -326,14 +322,17 @@ def _raw(field, terms: dict) -> Polynomial:
 
 def _add_terms(field, acc: dict, terms) -> dict:
     """Add (monomial, canonical coefficient) pairs into the term dict acc,
-    dropping each monomial whose sum is zero, so acc stays canonical."""
-    add, is_zero, zero = field.add, field.is_zero, field.zero
+    dropping each monomial whose sum is zero, so acc stays canonical.  A
+    monomial not yet in acc keeps its coefficient as given."""
+    add, is_zero, get = field.add, field.is_zero, acc.get
     for m, c in terms:
-        s = add(acc.get(m, zero), c)
-        if is_zero(s):
+        prev = get(m)
+        if prev is not None:
+            c = add(prev, c)
+        if is_zero(c):
             acc.pop(m, None)
         else:
-            acc[m] = s
+            acc[m] = c
     return acc
 
 
@@ -406,19 +405,6 @@ def elementary_symmetric(d: int, values: Sequence, field):
         for j in range(min(d, len(e) - 1), 0, -1):
             e[j] = field.add(e[j], field.mul(v, e[j - 1]))
     return e[d]
-
-
-def elementary_symmetric_poly(d: int, variables: Sequence[int], field) -> Polynomial:
-    """sigma_d as a polynomial: all square-free degree-d products."""
-    if d < 0 or d > len(variables):
-        raise ValueError(f"degree {d} out of range for {len(variables)} variables")
-    if len(set(variables)) != len(variables):
-        raise ValueError("variables must be distinct")
-    terms = {
-        Monomial({v: 1 for v in combo}): field.one
-        for combo in itertools.combinations(variables, d)
-    }
-    return Polynomial(field, terms)
 
 
 def complete_homogeneous(d: int, variables: Sequence[int], field) -> Polynomial:

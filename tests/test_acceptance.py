@@ -94,7 +94,7 @@ def congruence_suite_certs():
             if (u, v) not in edges and rng.random() < 0.35:
                 edges.add((u, v))
         g = Graph(n, sorted(edges))
-        assert brute_force_colorings(g, k).count == 0
+        assert brute_force_colorings(g, k) == 0
         field = field_for_k[k]
         if k in (2, 3):
             cert = search_certificate(g, k, field)
@@ -117,7 +117,7 @@ def chordal_suite():
         g = random_chordal(n, k_max, seed)
         result = build_groebner_basis(g, k, QQ)
         assert result is not None  # generator only emits chordal graphs
-        count = brute_force_colorings(g, k).count
+        count = brute_force_colorings(g, k)
         instances.append((g, k, result, count))
     return instances
 
@@ -344,7 +344,7 @@ def test_criterion_9_certificate_round_trip(small_grid_certs, k4_f5_cert, congru
     for g, k, field, cert in cases:
         ideal = build_ideal(g, k, field)
         assert verify_certificate(cert, ideal)
-        lifted = lift_certificate(cert, g, k)
+        lifted = lift_certificate(cert, g)
         assert verify_certificate(lifted, ideal)
         assert lifted.lifted_degree is not None
         # any single-coefficient perturbation must break the identity

@@ -16,7 +16,6 @@ from chromideal.poly import (
     ZeroPolynomialError,
     complete_homogeneous,
     elementary_symmetric,
-    elementary_symmetric_poly,
     normal_form,
     parse_poly,
     render,
@@ -217,11 +216,6 @@ def test_elementary_symmetric_values():
         elementary_symmetric(3, [1, 2], QQ)
 
 
-def test_elementary_symmetric_polys():
-    assert elementary_symmetric_poly(1, [1, 2, 3], QQ) == P("x1 + x2 + x3")
-    assert elementary_symmetric_poly(3, [1, 2, 3], QQ) == P("x1*x2*x3")
-
-
 def test_complete_homogeneous_examples():
     assert complete_homogeneous(2, [1, 2], QQ) == P("x1^2 + x1*x2 + x2^2")
     assert complete_homogeneous(1, [1, 2, 3], QQ) == P("x1 + x2 + x3")
@@ -348,6 +342,21 @@ crowded_terms = st.lists(
               st.integers(-3, 3)),
     max_size=4,
 )
+
+
+@given(st.sampled_from([GF(2), F7, QQ]), crowded_terms)
+def test_constructor_adds_repeated_monomials(field, terms):
+    pairs = [(Monomial(e), c) for e, c in terms]
+    total = Polynomial.zero(field)
+    for m, c in pairs:
+        total = total + Polynomial(field, [(m, c)])
+    assert Polynomial(field, pairs) == total
+
+
+def test_constructor_cancels_repeated_monomial():
+    x1 = Monomial({1: 1})
+    assert Polynomial(F7, [(x1, 3), (x1, 4)]).is_zero
+    assert Polynomial(F7, [(x1, 3), (x1, 4)]) == Polynomial.zero(F7)
 
 
 def _stores_no_zero(p):
