@@ -7,16 +7,22 @@ can be taken with every monomial degree congruent to 1 mod k; for k > 3 no
 degree-1 combination exists.  The search therefore assembles, degree class
 by degree class, an exact linear system over GF(p) whose columns are
 (edge, coefficient-monomial) pairs and whose rows are quotient-ring
-monomials, and solves it with the kernels in linalg.  A found edge-only
+monomials, and solves it with the kernels in linalg.  Each system is taken
+over the orbits of a group of twin-vertex permutations whose order is prime
+to p, which leaves its solvability unchanged (see LinearSystem), and a
+solution expands back to a plain certificate.  A found edge-only
 certificate can be lifted to a full-ring identity by tracking the quotients
 of division by the vertex generators.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .fields import PrimeField
@@ -54,21 +60,26 @@ def admissible_degrees(k: int, d_max: int) -> list[int]:
     return list(range(start, d_max + 1, k))
 
 
-def _coefficient_monomials(n: int, k: int,
-                           degrees: set[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+def _coefficient_monomials(n: int, k: int, degrees: set[int],
+                           pred: list[int] | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
     """Sparse exponent tuples ((variable, exponent), ...) over variables 1..n
     with every exponent below k and total degree in the given set.
 
     Exactly those vectors are generated, degrees in ascending order; within
     a degree, variable 1 takes its largest exponent first, then variable 2,
-    and so on (the descending order of the dense exponent vectors).
+    and so on (the descending order of the dense exponent vectors).  With
+    pred, only vectors whose exponent at v is at most the exponent at
+    pred[v] < v are generated (pred[v] = 0: no bound but k - 1); they keep
+    the same relative order.
     """
+    pred = pred or [0] * (n + 1)
+    chosen = [0] * (n + 1)  # chosen[v]: the exponent of v in the current prefix
     for d in sorted(degrees):
-        yield from _exponents_of_degree(n, k, 1, d)
+        yield from _exponents_of_degree(n, k, 1, d, pred, chosen)
 
 
-def _exponents_of_degree(n: int, k: int, first: int,
-                         d: int) -> Iterator[tuple[tuple[int, int], ...]]:
+def _exponents_of_degree(n: int, k: int, first: int, d: int, pred: list[int],
+                         chosen: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     """The degree-d part of _coefficient_monomials on variables first..n."""
     if d == 0:
         yield ()
@@ -77,20 +88,73 @@ def _exponents_of_degree(n: int, k: int, first: int,
     for v in range(first, n + 1):
         if (k - 1) * (n - v + 1) < d:
             return
-        for e in range(min(k - 1, d), 0, -1):
-            for rest in _exponents_of_degree(n, k, v + 1, d - e):
+        cap = chosen[pred[v]] if pred[v] else k - 1
+        for e in range(min(cap, d), 0, -1):
+            chosen[v] = e
+            for rest in _exponents_of_degree(n, k, v + 1, d - e, pred, chosen):
                 yield ((v, e),) + rest
+        chosen[v] = 0
+
+
+def twin_chunks(g: Graph, p: int) -> tuple[tuple[int, ...], ...]:
+    """The blocks of the symmetry group that certificate search reduces by.
+
+    Vertices with equal closed neighborhoods (true twins) or equal open
+    neighborhoods (false twins) can be permuted freely: every such swap is a
+    graph automorphism, and no vertex has twins of both kinds.  Each twin
+    class is cut, in vertex order, into chunks of fewer than p vertices, so
+    the product of the symmetric groups on the chunks has order
+    prod |chunk|!, prime to p.  Over GF(2) every chunk is one vertex.
+    """
+    closed: dict[frozenset[int], list[int]] = {}
+    open_: dict[frozenset[int], list[int]] = {}
+    for v in g.vertices:
+        closed.setdefault(g.neighbors(v) | {v}, []).append(v)
+        open_.setdefault(g.neighbors(v), []).append(v)
+    chunks = []
+    for v in g.vertices:
+        twins = closed[g.neighbors(v) | {v}]
+        if len(twins) == 1:
+            twins = open_[g.neighbors(v)]
+        if twins[0] == v:
+            chunks += [tuple(twins[i:i + p - 1]) for i in range(0, len(twins), p - 1)]
+    return tuple(chunks)
+
+
+def _check_chunks(g: Graph, p: int, chunks: tuple[tuple[int, ...], ...]) -> None:
+    """Chunks must partition the vertices in increasing runs of fewer than p,
+    and swapping consecutive members of a chunk must preserve the edge set
+    (those swaps generate the chunk's symmetric group)."""
+    if sorted(w for c in chunks for w in c) != list(g.vertices):
+        raise ValueError("chunks must partition the vertices")
+    for c in chunks:
+        if len(c) >= p or list(c) != sorted(c):
+            raise ValueError(f"chunk {c} is not an increasing run of fewer than {p} vertices")
+        for a, b in zip(c, c[1:]):
+            if g.neighbors(a) - {b} != g.neighbors(b) - {a}:
+                raise ValueError(f"swapping {a} and {b} is not an automorphism")
 
 
 @dataclass
 class LinearSystem:
-    """The degree-d certificate system for one graph.
+    """The degree-d certificate system for one graph, over the orbits of the
+    group generated by swaps within each chunk.
 
-    Columns are (edge, monomial) pairs; conceptually there is one row per
-    quotient-ring monomial (k^n of them), but only rows touched by some
-    column are materialized, plus the constant row carrying the rhs 1.  A
-    row is named by its monomial's code: the exponent of x_v is the base-k
-    digit of weight k^(v-1), so the constant row is code 0.
+    Columns are representatives of the orbits of (edge, monomial) pairs;
+    rows are orbits of quotient-ring monomials (k^n monomials in all), of
+    which only rows touched by some column are materialized, plus the
+    constant row carrying the rhs 1.  A row is named by the code of its
+    canonical monomial, whose exponents do not increase within a chunk: the
+    exponent of x_v is the base-k digit of weight k^(v-1), so the constant
+    row is code 0.  Each column lists the row orbits of its representative's
+    k quotient monomials; a row listed c times carries coefficient c.  Under
+    the trivial group (every chunk one vertex) this is the plain system with
+    coefficients 1.
+
+    The group order is prime to p, so the Reynolds average of any solution
+    of the plain system is constant on column orbits: the orbit system is
+    solvable exactly when the plain one is.  A solution z expands to the
+    plain system by giving every column of orbit O the value z_O / |O|.
     """
 
     graph: Graph
@@ -101,43 +165,93 @@ class LinearSystem:
     col_rows: list[list[int]]
     row_monomials: list[int]
     rhs_row: int
+    chunks: tuple[tuple[int, ...], ...]
 
     @property
     def n_cols(self) -> int:
         return len(self.columns)
 
+    @property
+    def group_order(self) -> int:
+        return math.prod(math.factorial(len(c)) for c in self.chunks)
 
-def assemble_system(g: Graph, k: int, field: PrimeField, d: int) -> LinearSystem:
+
+def _stabilizer_chains(n: int, chunks: tuple[tuple[int, ...], ...], ends: set[int]) -> list[int]:
+    """pred for _coefficient_monomials selecting one monomial per orbit of the
+    stabilizer of the edge `ends`, whose endpoints are the first members of
+    their chunks: each chunk splits into the endpoints and the rest, and the
+    exponents are non-increasing within each part."""
+    pred = [0] * (n + 1)
+    for c in chunks:
+        cut = sum(w in ends for w in c)  # the endpoints lead their chunk
+        for i in range(1, len(c)):
+            if i != cut:
+                pred[c[i]] = c[i - 1]
+    return pred
+
+
+def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
+                    chunks: Sequence[Sequence[int]] | None = None) -> LinearSystem:
     """Sparse system whose solutions are the edge-coefficient certificates of
-    degree at most d in the quotient ring (monomial degrees = 1 mod k)."""
+    degree at most d in the quotient ring (monomial degrees = 1 mod k), over
+    the orbits of the swaps within `chunks` (see twin_chunks; None: every
+    vertex alone, the plain system)."""
     if not isinstance(field, PrimeField):
         raise ValueError("certificate systems are assembled over prime fields")
     _check_characteristic(field, k)
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
+    chunks = tuple((v,) for v in g.vertices) if chunks is None else tuple(map(tuple, chunks))
+    _check_chunks(g, field.p, chunks)
+    chunk_of = {w: c for c in chunks for w in c}
     degrees = {t for t in range(1, d + 1) if t % k == 1 % k}
     # weight[v] = k^(v-1), the place value of x_v's exponent in a row code.
     weight = [0] + [k ** i for i in range(g.n)]
-    monomials = []
-    for exps in _coefficient_monomials(g.n, k, degrees):
-        code = sum(e * weight[v] for v, e in exps)
-        monomials.append((Monomial(exps), dict(exps), code))
 
+    def sort_chunks(code: int, movable: list[tuple[int, ...]]) -> int:
+        """The code of the canonical monomial: exponents sorted down within
+        each movable chunk (the others are sorted already)."""
+        for c in movable:
+            digits = [code // weight[w] % k for w in c]
+            for w, e, s in zip(c, digits, sorted(digits, reverse=True)):
+                code += (s - e) * weight[w]
+        return code
+
+    # (monomials, movable chunks) per edge-stabilizer shape: the chunks of
+    # size > 1 holding an endpoint.  Under the trivial group there is one.
+    shapes: dict[tuple, tuple[list, list]] = {}
     # Row ids in order of first touch; the constant row carrying the rhs is 0.
     row_index = {0: 0}
     columns = []
     col_rows = []
     for u, v in g.edges():
+        cu, cv = chunk_of[u], chunk_of[v]
+        # One edge per orbit: the first vertices of two chunks, or the first
+        # two of one chunk.
+        if u != cu[0] or v != (cu[1] if cu is cv else cv[0]):
+            continue
+        movable = [c for c in dict.fromkeys((cu, cv)) if len(c) > 1]
+        key = (cu is cv, *movable)
+        if key not in shapes:
+            monomials = []
+            pred = _stabilizer_chains(g.n, chunks, {u, v})
+            for exps in _coefficient_monomials(g.n, k, degrees, pred):
+                code = sum(e * weight[w] for w, e in exps)
+                monomials.append((Monomial(exps), dict(exps), code))
+            shapes[key] = monomials, movable
+        monomials, movable = shapes[key]
         wu, wv = weight[u], weight[v]
         # shift[a][b]: code offsets of the k rows of a column whose monomial
         # has exponents a at u and b at v.
         shift = [[[((a + l) % k - a) * wu + ((b + k - 1 - l) % k - b) * wv for l in range(k)]
                   for b in range(k)] for a in range(k)]
         for mono, exps, code in monomials:
-            col_rows.append([row_index.setdefault(code + s, len(row_index))
-                             for s in shift[exps.get(u, 0)][exps.get(v, 0)]])
+            offsets = shift[exps.get(u, 0)][exps.get(v, 0)]
+            if movable:
+                offsets = [sort_chunks(code + s, movable) - code for s in offsets]
+            col_rows.append([row_index.setdefault(code + s, len(row_index)) for s in offsets])
             columns.append(((u, v), mono))
-    return LinearSystem(g, k, field, d, columns, col_rows, list(row_index), 0)
+    return LinearSystem(g, k, field, d, columns, col_rows, list(row_index), 0, chunks)
 
 
 _SUBSET_THRESHOLD = 100_000
@@ -161,7 +275,10 @@ def _solve_wide(system: LinearSystem) -> list[int] | None:
             subset = range(n_cols)
         else:
             subset = sorted(rng.sample(range(n_cols), size))
-        entries = [[(r, 1) for r in system.col_rows[j]] for j in subset]
+        if system.group_order == 1:  # no column repeats a row
+            entries = [[(r, 1) for r in system.col_rows[j]] for j in subset]
+        else:
+            entries = [list(Counter(system.col_rows[j]).items()) for j in subset]
         x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field)
         if x is not None:
             full = [0] * n_cols
@@ -173,19 +290,70 @@ def _solve_wide(system: LinearSystem) -> list[int] | None:
         size *= 2
 
 
+def _arrangements(labels: list) -> Iterator[tuple]:
+    """The distinct orderings of labels, in increasing lexicographic order."""
+    a = sorted(labels)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _expand(system: LinearSystem, x: list[int]) -> dict[tuple[tuple[int, int], Monomial], int]:
+    """The plain-system solution of orbit solution x: every column of the
+    orbit of column j gets x[j] / |orbit|."""
+    p = system.field.p
+    moving = [c for c in system.chunks if len(c) > 1]
+    moved = {w for c in moving for w in c}
+    solution = {}
+    for (edge, mono), z in zip(system.columns, x):
+        if not z:
+            continue
+        exps = dict(mono.exps)
+        # Each moving chunk's (exponent, endpoint) labels, in every distinct order.
+        orders = [list(_arrangements([(exps.get(w, 0), w in edge) for w in c])) for c in moving]
+        size = math.prod(map(len, orders))
+        if size == 1:  # the column is its own orbit
+            solution[edge, mono] = z
+            continue
+        share = z * pow(size, p - 2, p) % p
+        fixed = [(w, e) for w, e in mono.exps if w not in moved]
+        fixed_ends = [w for w in edge if w not in moved]
+        for image in itertools.product(*orders):
+            pairs, ends = list(fixed), list(fixed_ends)
+            for c, labels in zip(moving, image):
+                for w, (e, end) in zip(c, labels):
+                    if e:
+                        pairs.append((w, e))
+                    if end:
+                        ends.append(w)
+            solution[tuple(sorted(ends)), Monomial(pairs)] = share
+    return solution
+
+
 def solve_system(system: LinearSystem) -> dict[tuple[tuple[int, int], Monomial], int] | None:
-    """One solution of the system (nonzero entries only), or None if it is
-    inconsistent.  Deterministic: bit-packed dense elimination over GF(2),
-    sparse Markowitz-pivot elimination for odd p (through a growing ladder
-    of column subsets beyond _SUBSET_THRESHOLD columns).  Raises
+    """One solution of the plain system (nonzero entries only), expanded from
+    a solution of the orbit system, or None if it is inconsistent.
+    Deterministic: bit-packed dense elimination over GF(2), sparse
+    Markowitz-pivot elimination for odd p (through a growing ladder of
+    column subsets beyond _SUBSET_THRESHOLD columns).  Raises
     linalg.FillBudgetExceeded when a kernel would pass its memory budget."""
     if system.field.p == 2:
+        # Chunks are single vertices over GF(2), so every coefficient is 1.
         x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [system.rhs_row])
     else:
         x = _solve_wide(system)
     if x is None:
         return None
-    return {system.columns[j]: c for j, c in enumerate(x) if c}
+    return _expand(system, x)
 
 
 @dataclass
@@ -248,15 +416,17 @@ def search_certificate(
     if d_max is not None and d_max < 0:
         raise ValueError(f"degree bound must be nonnegative, got {d_max}")
     _check_characteristic(field, k)
+    chunks = twin_chunks(g, field.p)
     infeasible: list[int] = []
     for d in admissible_degrees(k, _degree_bound(k, d_max)):
-        system = assemble_system(g, k, field, d)
+        system = assemble_system(g, k, field, d, chunks)
         solution = solve_system(system)
         if progress is not None:
             status = "infeasible" if solution is None else "certificate found"
             progress(
                 f"degree {d}: {status} "
-                f"({system.n_cols} columns, {len(system.row_monomials)} rows)"
+                f"({system.n_cols} column orbits, {len(system.row_monomials)} row orbits, "
+                f"group order {system.group_order})"
             )
         if solution is None:
             infeasible.append(d)

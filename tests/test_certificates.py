@@ -267,9 +267,10 @@ def test_search_characteristic_guard():
 def test_progress_lines_report_each_degree():
     lines = []
     search_certificate(complete_graph(4), 3, F7, progress=lines.append)
-    assert len(lines) == 2
-    assert "degree 1: infeasible" in lines[0]
-    assert "degree 4: certificate found" in lines[1]
+    assert lines == [
+        "degree 1: infeasible (2 column orbits, 3 row orbits, group order 24)",
+        "degree 4: certificate found (10 column orbits, 5 row orbits, group order 24)",
+    ]
 
 
 # --- verification ------------------------------------------------------------------
