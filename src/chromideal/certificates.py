@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -275,10 +274,7 @@ def _solve_wide(system: LinearSystem) -> list[int] | None:
             subset = range(n_cols)
         else:
             subset = sorted(rng.sample(range(n_cols), size))
-        if system.group_order == 1:  # no column repeats a row
-            entries = [[(r, 1) for r in system.col_rows[j]] for j in subset]
-        else:
-            entries = [list(Counter(system.col_rows[j]).items()) for j in subset]
+        entries = [[(r, 1) for r in system.col_rows[j]] for j in subset]
         x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field)
         if x is not None:
             full = [0] * n_cols

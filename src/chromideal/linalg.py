@@ -8,12 +8,11 @@ Two solvers for A x = b given column-wise sparse input:
   Markowitz-style pivoting (emptiest active column first, emptiest row
   within it) and deterministic tie-breaking by index.
 
-Both take each column's rows at most once, return one solution (free
-variables set to zero) or None when the system is inconsistent, and are
-deterministic for fixed input.  Both always run under a memory budget, so
-they raise FillBudgetExceeded instead of exhausting memory: solve_gf2 before
-allocating a matrix above _DENSE_BYTES, solve_sparse once fill-in stores more
-than _FILL_BUDGET nonzeros.
+Both return one solution (free variables set to zero) or None when the
+system is inconsistent, and are deterministic for fixed input.  Both always
+run under a memory budget, so they raise FillBudgetExceeded instead of
+exhausting memory: solve_gf2 before allocating a matrix above _DENSE_BYTES,
+solve_sparse once fill-in stores more than _FILL_BUDGET nonzeros.
 
 Both stop pivoting as soon as no unpivoted row carries a nonzero rhs.  A
 nonzero rhs reaches a row only from a pivot row whose rhs is nonzero, so
@@ -106,8 +105,9 @@ def solve_sparse(
     rhs: Mapping[int, int],
     field: PrimeField,
 ) -> list[int] | None:
-    """Solve over GF(p).  Columns are given by (row, coefficient) pairs with
-    each row listed at most once; rows are arbitrary hashable indices.
+    """Solve over GF(p).  Columns are given by (row, coefficient) pairs; a
+    row listed more than once in a column gets the sum of its coefficients.
+    Rows are arbitrary hashable indices.
 
     Rows never touched by a column are the equations 0 = rhs, so a nonzero
     rhs on such a row makes the system inconsistent immediately.  Raises
@@ -130,10 +130,13 @@ def solve_sparse(
     for j, entries in enumerate(col_entries):
         members = set()
         for i, c in entries:
-            c %= p
-            if c:
-                rows.setdefault(i, {})[j] = c
+            row = rows.setdefault(i, {})
+            if c := (row.get(j, 0) + c) % p:
+                row[j] = c
                 members.add(i)
+            elif j in row:
+                del row[j]
+                members.discard(i)
         nonzeros += len(members)
         col_rows[j] = members
 

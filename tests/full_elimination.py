@@ -65,8 +65,9 @@ def full_solve_sparse(
     rhs: Mapping[int, int],
     field: PrimeField,
 ) -> list[int] | None:
-    """Solve over GF(p).  Columns are given by (row, coefficient) pairs with
-    each row listed at most once; rows are arbitrary hashable indices.
+    """Solve over GF(p).  Columns are given by (row, coefficient) pairs; a
+    row listed more than once in a column gets the sum of its coefficients.
+    Rows are arbitrary hashable indices.
 
     Rows never touched by a column are the equations 0 = rhs, so a nonzero
     rhs on such a row makes the system inconsistent immediately.
@@ -77,10 +78,13 @@ def full_solve_sparse(
     for j, entries in enumerate(col_entries):
         members = set()
         for i, c in entries:
-            c %= p
-            if c:
-                rows.setdefault(i, {})[j] = c
+            row = rows.setdefault(i, {})
+            if c := (row.get(j, 0) + c) % p:
+                row[j] = c
                 members.add(i)
+            elif j in row:
+                del row[j]
+                members.discard(i)
         col_rows[j] = members
 
     rhs_d = {i: c % p for i, c in rhs.items() if c % p}

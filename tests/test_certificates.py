@@ -85,6 +85,8 @@ def test_solve_sparse_identity_and_contradiction():
     assert solve_sparse([[(0, 1)], [(1, 1)]], {0: 5, 1: 2}, F7) == [5, 2]
     assert solve_sparse([], {0: 1}, F7) is None
     assert solve_sparse([[(0, 1)], [(0, 2)]], {1: 1}, F7) is None  # row 1: 0 = 1
+    assert solve_sparse([[(0, 1), (0, 1)]], {0: 1}, F7) == [4]  # a repeated row adds up
+    assert solve_sparse([[(0, 3), (0, 4)]], {0: 1}, F7) is None  # ... to 0 here
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

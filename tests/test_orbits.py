@@ -143,6 +143,13 @@ def orbit_cells():
                                   ((3, 3, 3), 2, 5), ((1, 2, 2), 2, 5), ((2, 2, 2), 3, 5),
                                   ((2, 2, 2, 2), 3, 5), ((1, 1, 1, 3), 3, 7),
                                   ((1, 1, 1, 2), 3, 5)]]
+    # seeded random graphs, where twins are incidental
+    rng = random.Random(7)
+    for i in range(6):
+        n, k, p = rng.randint(4, 7), 2, rng.choice([3, 5])
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(n, len(pairs))))
+        cells.append((f"random {i} n{n}/k{k}/GF{p}", g, k, p))
     return cells
 
 
@@ -173,16 +180,3 @@ def test_orbit_cells_exercise_nontrivial_groups():
               for _, g, _, p in orbit_cells()]
     assert sum(order > 1 for order in orders) >= len(orders) // 2
     assert max(orders) >= 120
-
-
-def test_random_graph_orbit_verdicts():
-    """Seeded random graphs over odd p, where twins are incidental."""
-    rng = random.Random(7)
-    for _ in range(6):
-        n, k, p = rng.randint(4, 7), 2, rng.choice([3, 5])
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        g = Graph(n, rng.sample(pairs, rng.randint(n, len(pairs))))
-        chunks = twin_chunks(g, p)
-        for d in admissible_degrees(k, 3 * k + 1):
-            orbit = solve_system(assemble_system(g, k, GF(p), d, chunks)) is not None
-            assert orbit == plain_feasible(g, k, p, d)
