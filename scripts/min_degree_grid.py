@@ -22,7 +22,7 @@ from pathlib import Path
 
 QUICK = [(f"K_{k + 1}", k, p) for k, p in
          [(3, 2), (3, 5), (3, 7), (4, 3), (4, 5), (4, 7), (5, 2), (5, 3), (5, 7), (6, 5), (6, 7)]]
-QUICK += [("W_5", 3, 2), ("W_21", 3, 2), ("W_51", 3, 2), ("W_5", 3, 5)]
+QUICK += [("W_5", 3, 2), ("W_21", 3, 2), ("W_51", 3, 2), ("W_101", 3, 2), ("W_5", 3, 5)]
 SLOW = [("K_8", 7, 11)]
 
 

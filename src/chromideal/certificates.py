@@ -338,9 +338,9 @@ def _expand(system: LinearSystem, x: list[int]) -> dict[tuple[tuple[int, int], M
 def solve_system(system: LinearSystem) -> dict[tuple[tuple[int, int], Monomial], int] | None:
     """One solution of the plain system (nonzero entries only), expanded from
     a solution of the orbit system, or None if it is inconsistent.
-    Deterministic: bit-packed dense elimination over GF(2), sparse
-    Markowitz-pivot elimination for odd p (through a growing ladder of
-    column subsets beyond _SUBSET_THRESHOLD columns).  Raises
+    Deterministic: bit-packed dense forward elimination and back-substitution
+    over GF(2), sparse Markowitz-pivot elimination for odd p (through a
+    growing ladder of column subsets beyond _SUBSET_THRESHOLD columns).  Raises
     linalg.FillBudgetExceeded when a kernel would pass its memory budget."""
     if system.field.p == 2:
         # Chunks are single vertices over GF(2), so every coefficient is 1.

@@ -2,8 +2,14 @@
 
 Two solvers for A x = b given column-wise sparse input:
 
-* solve_gf2: dense bit-packed Gauss-Jordan elimination on numpy uint64
-  words; leftmost pivot column, first available pivot row.
+* solve_gf2: dense forward elimination on rows bit-packed into numpy uint64
+  words; leftmost pivot column, lowest-index unpivoted row within it.  A
+  pivot updates only the unpivoted rows that hold its bit, and only from
+  its own word on: bits left of a pivot are never read again.  One scan of
+  each word's column finds the unpivoted rows with a nonzero word, and that
+  word's pivots are looked for among those rows only; the set only shrinks
+  within the word, because only rows already holding the pivot bit are
+  XORed.  Back-substitution walks the pivots in reverse on a packed x.
 * solve_sparse: row-dict elimination over GF(p) on canonical ints with
   Markowitz-style pivoting (emptiest active column first, emptiest row
   within it) and deterministic tie-breaking by index.
@@ -20,20 +26,24 @@ every later pivot row would have rhs 0 and would change no other row's rhs.
 The rest of the system is then homogeneous, hence consistent, and its pivot
 columns would solve to 0.  So no contradiction can come later, and the
 vector returned, with those columns free at 0, is the one the full
-elimination returns.
+elimination returns.  For a given set of pivots the solution with every
+other column at 0 is unique, so forward elimination and Gauss-Jordan
+elimination, which choose the same pivots, return the same vector.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fields import PrimeField
 
-# Bytes the dense GF(2) matrix may take.  Row updates copy the selected rows,
-# so the peak can reach twice this, about 4 GB.
+# Bytes the dense GF(2) matrix may take.  A pivot step gathers a copy of the
+# selected rows' tails, from the pivot's word on, so the peak is the matrix
+# plus that copy: at most twice this, about 4 GB.
 _DENSE_BYTES = 2_000_000_000
 # Stored nonzeros allowed during one odd-p elimination.  A stored entry costs
 # about 125 bytes: K_7/k=6/GF(5) at degree 13 reaches 8 M on its first ladder
@@ -58,46 +68,56 @@ def solve_gf2(
     if size > _DENSE_BYTES:
         raise FillBudgetExceeded(f"dense GF(2) matrix of {size} bytes exceeds {_DENSE_BYTES}")
     m = np.zeros((max(n_rows, 1), words), dtype=np.uint64)
-    for j, rows in enumerate(col_rows):
-        if rows:
-            m[np.asarray(rows, dtype=np.intp), j >> 6] |= np.uint64(1 << (j & 63))
+    # one scatter of every entry, the rhs as column n_cols
+    lengths = [len(rows) for rows in col_rows] + [len(rhs_rows)]
+    ii = np.fromiter(itertools.chain(*col_rows, rhs_rows), dtype=np.intp, count=sum(lengths))
+    jj = np.repeat(np.arange(n_cols + 1, dtype=np.intp), lengths)
+    np.bitwise_or.at(m, (ii, jj >> 6), np.left_shift(np.uint64(1), (jj & 63).astype(np.uint64)))
     wb, bb = divmod(n_cols, 64)
     rhs_bit = np.uint64(1 << bb)
-    for i in rhs_rows:
-        m[i, wb] |= rhs_bit
 
     used = np.zeros(m.shape[0], dtype=bool)
-    pivot_of_col = np.full(n_cols, -1, dtype=np.int64)
+    pivots: list[tuple[int, int]] = []  # (column, row)
     # unused rows whose rhs bit is set; changes only when a pivot row's is set
     live = int(np.count_nonzero(m[:, wb] & rhs_bit))
-    for j in range(n_cols):
+    for w in range((n_cols + 63) // 64):
         if not live:
             break
-        w, b = divmod(j, 64)
-        has = ((m[:, w] >> np.uint64(b)) & np.uint64(1)).astype(bool)
-        candidates = np.flatnonzero(has & ~used)
-        if candidates.size == 0:
-            continue
-        piv = int(candidates[0])
-        used[piv] = True
-        pivot_of_col[j] = piv
-        sel = np.flatnonzero(has)
-        sel = sel[sel != piv]
-        if m[piv, wb] & rhs_bit:
-            flipped = sel[~used[sel]]
-            live += flipped.size - 1 - 2 * int(np.count_nonzero(m[flipped, wb] & rhs_bit))
-        if sel.size:
-            m[sel] ^= m[piv]
+        # unused rows with a nonzero word w, and that word of each; a row
+        # outside the set holds no bit of w and is never XORed within it
+        rows = ((m[:, w] != 0) & ~used).nonzero()[0]
+        word = m[rows, w]
+        for b in range(min(64, n_cols - 64 * w)):
+            if not live or not rows.size:
+                break
+            hits = ((word >> np.uint64(b)) & np.uint64(1)).nonzero()[0]
+            if not hits.size:
+                continue
+            piv = int(rows[hits[0]])
+            used[piv] = True
+            pivots.append((64 * w + b, piv))
+            sel = rows[hits[1:]]
+            if m[piv, wb] & rhs_bit:
+                live += sel.size - 1 - 2 * int(np.count_nonzero(m[sel, wb] & rhs_bit))
+            if sel.size:
+                m[sel, w:] ^= m[piv, w:]
+                word[hits[1:]] ^= word[hits[0]]
+            word[hits[0]] = 0  # drop the pivot row and rows whose word w is now 0
+            keep = word.nonzero()[0]
+            rows, word = rows[keep], word[keep]
 
-    rhs_bits = (m[:, wb] & rhs_bit).astype(bool)
-    if bool(np.any(rhs_bits & ~used)):
-        return None
-    x = [0] * n_cols
-    for j in range(n_cols):
-        piv = pivot_of_col[j]
-        if piv >= 0 and rhs_bits[piv]:
-            x[j] = 1
-    return x
+    if live:
+        return None  # an unpivoted row reads 0 = 1
+    # a pivot row holds its own column, later columns and the rhs (in its
+    # last word); solve upwards with every other column free at 0
+    xs = np.zeros(words, dtype=np.uint64)
+    for j, piv in reversed(pivots):
+        w = j >> 6
+        row = m[piv, w:]
+        parity = int(np.bitwise_xor.reduce(row & xs[w:])).bit_count() + bool(row[-1] & rhs_bit)
+        if parity & 1:
+            xs[w] |= np.uint64(1 << (j & 63))
+    return np.unpackbits(xs.astype("<u8").view(np.uint8), bitorder="little")[:n_cols].tolist()
 
 
 def solve_sparse(

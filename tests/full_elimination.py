@@ -4,8 +4,16 @@ These are the kernels of chromideal.linalg before they learned to stop once
 no unpivoted row carries a nonzero rhs, and before the column heap was
 pushed only when a pivot row retires.  They pivot through the whole system,
 so the differential tests can check that the production kernels return
-equal vectors, not just valid ones.  The memory budgets are left out: the
-oracle only runs on small systems.
+equal vectors, not just valid ones.
+
+full_solve_gf2 is now a different algorithm from solve_gf2: it runs
+Gauss-Jordan elimination, XORing each pivot row into every other row that
+holds its bit, and reads x off the reduced pivot rows.  solve_gf2 runs
+forward elimination and back-substitutes.  The vectors still agree: both
+pick the same pivots (the unpivoted rows change alike in both), and with
+every non-pivot column at 0 the solution is unique.
+
+The memory budgets are left out: the oracle only runs on small systems.
 """
 
 from __future__ import annotations

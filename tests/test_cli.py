@@ -173,16 +173,27 @@ def odd_wheel(tmp_path, r):
     return write_dimacs(tmp_path / f"w{r}.col", Graph(r + 1, edges))
 
 
-def test_cert_on_odd_wheel_w41(capsys, tmp_path, monkeypatch):
-    """42 vertices: the dense exponent walk would visit 2^42 vectors."""
+def assert_degree_one_gf2_certificate(capsys, monkeypatch, path):
+    """cert --k 3 --p 2 --lift finds degree 1 at once, and verify-cert accepts it."""
     import io
 
-    code, out = run(capsys, "cert", "--k", "3", "--p", "2", "--lift", odd_wheel(tmp_path, 41))
+    code, out = run(capsys, "cert", "--k", "3", "--p", "2", "--lift", path)
     doc = json.loads(out)
     assert code == 0 and doc["degree"] == 1 and doc["infeasible_degrees"] == []
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, verdict = run_json(capsys, "verify-cert", "-")
     assert code == 0 and verdict["valid"] is True
+
+
+def test_cert_on_odd_wheel_w41(capsys, tmp_path, monkeypatch):
+    """42 vertices: the dense exponent walk would visit 2^42 vectors."""
+    assert_degree_one_gf2_certificate(capsys, monkeypatch, odd_wheel(tmp_path, 41))
+
+
+def test_cert_on_odd_wheel_w101(capsys, tmp_path, monkeypatch):
+    """NulLA scale: the degree-1 system over GF(2) has 25,251 rows and
+    20,604 columns, all solved by the dense kernel."""
+    assert_degree_one_gf2_certificate(capsys, monkeypatch, odd_wheel(tmp_path, 101))
 
 
 def test_cert_odd_wheel_w11_degree_one_infeasible_over_gf5(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """The production kernels return the vectors that full elimination returns.
 
 solve_sparse and solve_gf2 stop pivoting once no unpivoted row carries a
-nonzero rhs, and solve_sparse pushes a column on its heap only when a pivot
-row retires.  Neither may change the answer: these tests compare the returned
-vectors (not just their validity) with the full-elimination oracle in
-full_elimination.py, kernel by kernel and through search_certificate.
+nonzero rhs, solve_sparse pushes a column on its heap only when a pivot row
+retires, and solve_gf2 eliminates forward and back-substitutes where the
+oracle runs Gauss-Jordan.  None of this may change the answer: these tests
+compare the returned vectors (not just their validity) with the
+full-elimination oracle in full_elimination.py, kernel by kernel and
+through search_certificate.
 """
 
 import itertools
@@ -76,6 +78,29 @@ def test_kernels_match_on_certificate_shaped_systems(p):
                 for _ in range(n_cols)]
         rhs = {i: rng.randrange(1, p) for i in rng.sample(range(n_rows), rng.randint(1, 4))}
         outcomes.add(assert_kernels_match(n_rows, cols, rhs, p) is None)
+    assert outcomes == {True, False}
+
+
+def test_gf2_kernel_matches_across_word_boundaries():
+    """The GF(2) kernel packs 64 columns to a word and the rhs after the
+    last column, so widths of 63, 64 and 65 put the rhs bit at bit 63, at
+    the start of a new word and mid-word.  Tall and wide systems, the rhs on
+    one row, on several, or on A x0; both outcomes must occur."""
+    rng = random.Random(64)
+    widths = [1, 63, 64, 65, 127, 128, 129] + [rng.randint(1, 300) for _ in range(7)]
+    outcomes = set()
+    for n_cols in widths:
+        for n_rows in (n_cols + rng.randint(1, 40), max(1, n_cols // 3)):  # tall, wide
+            cols = [rng.sample(range(n_rows), rng.randint(0, min(n_rows, 5)))
+                    for _ in range(n_cols)]
+            x0 = [j for j in range(n_cols) if rng.random() < 0.5]
+            consistent = [i for i in range(n_rows) if sum(i in cols[j] for j in x0) % 2]
+            for rhs in (rng.sample(range(n_rows), 1),
+                        rng.sample(range(n_rows), min(n_rows, rng.randint(2, 6))),
+                        consistent):
+                x = solve_gf2(n_rows, cols, rhs)
+                assert x == full_solve_gf2(n_rows, cols, rhs)
+                outcomes.add(x is None)
     assert outcomes == {True, False}
 
 
