@@ -10,7 +10,9 @@ round-trip parser.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import re
 from fractions import Fraction
 from collections.abc import Iterable, Mapping, Sequence
@@ -173,10 +175,11 @@ class Polynomial:
     Instances are treated as immutable values; all arithmetic returns new
     polynomials.  Coefficients are canonicalized through the field on
     construction, the coefficients of a repeated monomial are added, and
-    zero sums are dropped.
+    zero sums are dropped.  The leading term under the last order asked for
+    is cached; equality and hashing ignore the cache.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_lt")
 
     def __init__(self, field, terms: Mapping[Monomial, object] = ()):
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
@@ -260,10 +263,15 @@ class Polynomial:
         return _raw(f, {m: f.mul(v, cc) for m, v in self.terms.items()})
 
     def leading_term(self, order: TermOrder) -> tuple[Monomial, object]:
+        cached = getattr(self, "_lt", None)
+        if cached is not None and cached[0] is order:
+            return cached[1]
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         m = max(self.terms, key=order.sort_key)
-        return m, self.terms[m]
+        lt = m, self.terms[m]
+        self._lt = order, lt
+        return lt
 
     def leading_monomial(self, order: TermOrder) -> Monomial:
         return self.leading_term(order)[0]
@@ -345,35 +353,148 @@ def normal_form(
     term of r divisible by any divisor's leading monomial.  Deterministic:
     the order-largest reducible term is processed first and divisors are
     tried in list order.
+
+    Each term's order key is computed when the term enters the work list,
+    and a heap of keys yields the largest term (Monagan & Pearce, CASC
+    2007).  A term cancelled while queued stays in the heap and is skipped
+    when popped; a term queued twice is processed at its first pop.  No
+    popped term comes back: every term a reduction adds is smaller than the
+    term it reduces.  Divisors are indexed by the first variable of their
+    leading monomial, so a term is tested only against the heads that share
+    a variable with it.  The work list is keyed by exps tuples; Monomials
+    are built only for the terms returned.
     """
     fld = f.field
     heads = []
-    for g in basis:
+    # A constant head divides every term, so no later divisor is ever tried.
+    no_divisor = len(basis)
+    first_constant = no_divisor
+    by_var: dict[int, list[int]] = {}
+    for i, g in enumerate(basis):
         if g.is_zero:
             raise ZeroPolynomialError("zero polynomial in division basis")
         if g.field != fld:
             raise FieldMismatchError(f"{fld} vs {g.field}")
-        heads.append(g.leading_term(order))
+        gm, gc = g.leading_term(order)
+        heads.append((gm, gm.exps, gc))
+        if gm.exps:
+            by_var.setdefault(gm.exps[0][0], []).append(i)
+        elif first_constant == no_divisor:
+            first_constant = i
+    key = _heap_key(order)
+    work = {m.exps: c for m, c in f.terms.items()}
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
     quots: list[list[tuple[Monomial, object]]] = [[] for _ in basis]
     rem: dict[Monomial, object] = {}
-    work = dict(f.terms)
-    key = order.sort_key
-    while work:
-        lm = max(work, key=key)
-        lc = work[lm]
-        for i, (gm, gc) in enumerate(heads):
-            if gm.divides(lm):
-                q = lm.divide(gm)
-                qc = fld.div(lc, gc)
-                quots[i].append((q, qc))
-                neg_qc = fld.neg(qc)
-                _add_terms(fld, work, ((q * m2, fld.mul(neg_qc, c2))
-                                       for m2, c2 in basis[i].terms.items()))
-                break
+    div, neg, mul, add, is_zero = fld.div, fld.neg, fld.mul, fld.add, fld.is_zero
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
+    while heap:
+        lt = pop(heap)[1]
+        lc = work.pop(lt, None)
+        if lc is None:
+            continue
+        exps = dict(lt)
+        i = first_constant
+        for v in exps:
+            for j in by_var.get(v, ()):
+                if j >= i:
+                    break
+                for hv, he in heads[j][1]:
+                    if exps.get(hv, 0) < he:
+                        break
+                else:
+                    i = j
+                    break
+        if i == no_divisor:
+            rem[_monomial(lt)] = lc
+            continue
+        gm, g_exps, gc = heads[i]
+        for hv, he in g_exps:
+            exps[hv] -= he
+        q = tuple([item for item in exps.items() if item[1]])
+        qc = div(lc, gc)
+        quots[i].append((_monomial(q), qc))
+        neg_qc = neg(qc)
+        # The head's own product is lt, whose coefficient cancels exactly.
+        for m2, c2 in basis[i].terms.items():
+            if m2 is gm:
+                continue
+            t = _merge_exps(q, m2.exps)
+            c = mul(neg_qc, c2)
+            prev = get(t)
+            if prev is None:
+                work[t] = c
+                push(heap, (key(t), t))
+            else:
+                c = add(prev, c)
+                if is_zero(c):
+                    del work[t]
+                else:
+                    work[t] = c
+    return [_raw(fld, dict(q)) for q in quots], _raw(fld, rem)
+
+
+_KEY_END = (math.inf,)
+
+
+def _heap_key(order: TermOrder):
+    """A key function on exps tuples whose ascending order is the term
+    order's descending order: sort_key with every entry negated.  Negation
+    alone would rank a key that is a prefix of another first, so every key
+    ends in a marker above any negated pair; the marker plays the missing
+    variable's exponent 0."""
+    rank = order._rank
+    graded = order.kind == GRLEX
+
+    def key(exps: tuple) -> list:
+        try:
+            k = [(-rank[v], -e) for v, e in exps]
+        except KeyError as exc:
+            raise ValueError(f"variable x{exc.args[0]} is not ranked by this order") from None
+        k.sort()
+        k.append(_KEY_END)
+        if graded:
+            k.insert(0, -sum(e for _, e in exps))
+        return k
+
+    return key
+
+
+def _monomial(exps: tuple) -> Monomial:
+    """Internal constructor for an already-canonical exps tuple."""
+    m = object.__new__(Monomial)
+    m.exps = exps
+    m._hash = hash(exps)
+    return m
+
+
+def _merge_exps(a: tuple, b: tuple) -> tuple:
+    """The exps tuple of the product of two monomials, by merging their
+    variable-sorted exps tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
         else:
-            rem[lm] = lc
-            del work[lm]
-    return [_raw(fld, _add_terms(fld, {}, q)) for q in quots], _raw(fld, rem)
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:

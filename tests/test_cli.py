@@ -217,6 +217,23 @@ def test_gb_verify_round_trip(capsys, triangle, tmp_path):
     assert code == 1 and verdict["valid"] is False
 
 
+def assert_gb_document_verifies(capsys, monkeypatch, tmp_path, n, k):
+    """gb --k k on random_chordal(n, k, 1), piped to verify-gb, is valid."""
+    import io
+
+    g = random_chordal(n, k, 1)
+    code, out = run(capsys, "gb", "--k", str(k), write_dimacs(tmp_path / "g.col", g))
+    assert code == 0 and json.loads(out)["chordal"] is True
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, verdict = run_json(capsys, "verify-gb", "-")
+    assert code == 0 and verdict["valid"] is True
+
+
+def test_verify_gb_on_a_forty_vertex_basis(capsys, monkeypatch, tmp_path):
+    """The S-pair check runs over all 780 pairs of a 40-element basis."""
+    assert_gb_document_verifies(capsys, monkeypatch, tmp_path, 40, 4)
+
+
 def test_verify_gb_accepts_infeasible_document(capsys, k4, tmp_path):
     code, out = run(capsys, "gb", "--k", "3", k4)
     assert code == 1
@@ -431,3 +448,8 @@ def test_chordal_verbs_at_one_hundred_thousand_vertices(capsys, tmp_path):
     code, doc = run_json(capsys, "color", "--k", "5", path)
     coloring = {int(v): c for v, c in doc["coloring"].items()}
     assert code == 0 and len(coloring) == g.n and check_coloring(g, 5, coloring)
+
+
+@pytest.mark.slow
+def test_verify_gb_on_a_sixty_vertex_basis(capsys, monkeypatch, tmp_path):
+    assert_gb_document_verifies(capsys, monkeypatch, tmp_path, 60, 5)

@@ -103,6 +103,32 @@ def test_leading_term_of_zero_raises():
 def test_order_requires_ranked_variables():
     with pytest.raises(ValueError):
         P("x9").leading_term(LEX_XY)
+    # A leading term cached under one order does not answer for another.
+    f = P("x1 + x2")
+    assert f.leading_monomial(LEX_XY) == Monomial({1: 1})
+    with pytest.raises(ValueError):
+        f.leading_term(TermOrder.lex_descending([1]))
+
+
+def test_cached_leading_term_follows_the_order():
+    f = P("x1 + x2^3")
+    lex_yx = TermOrder.lex_descending([2, 1])
+    for _ in range(2):
+        assert f.leading_term(LEX_XY) == (Monomial({1: 1}), Fraction(1))
+        assert f.leading_term(GRLEX_XY) == (Monomial({2: 3}), Fraction(1))
+        assert f.leading_term(lex_yx) == (Monomial({2: 3}), Fraction(1))
+    # An equal order built separately reads the same leading term.
+    assert f.leading_term(TermOrder.lex_descending([1, 2])) == (Monomial({1: 1}), Fraction(1))
+
+
+def test_equality_and_hash_ignore_the_cached_leading_term():
+    f, g = P("x1^2 - x2"), P("x1^2 - x2")
+    f.leading_term(LEX_XY)
+    assert f == g and g == f
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
+    g.leading_term(GRLEX_XY)
+    assert f == g and hash(f) == hash(g)
 
 
 mono_st = st.builds(
@@ -174,6 +200,31 @@ def test_division_by_groebner_basis_detects_membership():
 def test_division_zero_divisor_rejected():
     with pytest.raises(ZeroPolynomialError):
         normal_form(P("x1"), [Polynomial.zero(QQ)], LEX_XY)
+    with pytest.raises(ZeroPolynomialError):
+        normal_form(P("x1"), [P("x1 - 1"), Polynomial.zero(QQ)], LEX_XY)
+
+
+def test_division_field_mismatch_rejected():
+    with pytest.raises(FieldMismatchError):
+        normal_form(P("x1", F5), [P("x1 + 1", F7)], LEX_XY)
+    with pytest.raises(FieldMismatchError):
+        normal_form(P("x1", QQ), [P("x1 + 1", QQ), P("x2", F5)], LEX_XY)
+
+
+def test_division_requires_ranked_variables():
+    x1_only = TermOrder.lex_descending([1])
+    # In any term of f, reducible or not.
+    for f in ("x2", "x1^2 + x2", "x1 + x2^5"):
+        with pytest.raises(ValueError):
+            normal_form(P(f), [P("x1")], x1_only)
+    # In a divisor, even in a term below its head; also after its leading
+    # term was cached under an order that ranks every variable.
+    g = P("x1 + x2")
+    with pytest.raises(ValueError):
+        normal_form(P("x1"), [g], x1_only)
+    normal_form(P("x1"), [g], LEX_XY)
+    with pytest.raises(ValueError):
+        normal_form(P("x1"), [g], x1_only)
 
 
 small_poly = st.builds(
