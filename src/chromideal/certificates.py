@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -30,6 +29,7 @@ from .ideals import (
     JSON_VERSION,
     ColoringIdeal,
     _check_characteristic,
+    check_json_version,
     field_from_json,
     field_to_json,
     graph_from_json,
@@ -253,39 +253,6 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
     return LinearSystem(g, k, field, d, columns, col_rows, list(row_index), 0, chunks)
 
 
-_SUBSET_THRESHOLD = 100_000
-
-
-def _solve_wide(system: LinearSystem) -> list[int] | None:
-    """Odd-p solve through a ladder of growing column subsets.
-
-    Systems of at most _SUBSET_THRESHOLD columns start at full width.  Wider
-    ones solve deterministic growing random column subsets first: a
-    subsystem solution extends by zeros to the full system, so any hit is
-    final, while subset infeasibility just widens the ladder.  Only a
-    genuinely infeasible system reaches the full width, and every rung runs
-    under the fill budget, which fails loudly rather than exhausting memory.
-    """
-    n_cols = system.n_cols
-    rng = random.Random(0)
-    size = n_cols if n_cols <= _SUBSET_THRESHOLD else int(1.35 * len(system.row_monomials))
-    while True:
-        if size >= n_cols:
-            subset = range(n_cols)
-        else:
-            subset = sorted(rng.sample(range(n_cols), size))
-        entries = [[(r, 1) for r in system.col_rows[j]] for j in subset]
-        x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field)
-        if x is not None:
-            full = [0] * n_cols
-            for jj, j in enumerate(subset):
-                full[j] = x[jj]
-            return full
-        if size >= n_cols:
-            return None
-        size *= 2
-
-
 def _arrangements(labels: list) -> Iterator[tuple]:
     """The distinct orderings of labels, in increasing lexicographic order."""
     a = sorted(labels)
@@ -339,14 +306,15 @@ def solve_system(system: LinearSystem) -> dict[tuple[tuple[int, int], Monomial],
     """One solution of the plain system (nonzero entries only), expanded from
     a solution of the orbit system, or None if it is inconsistent.
     Deterministic: bit-packed dense forward elimination and back-substitution
-    over GF(2), sparse Markowitz-pivot elimination for odd p (through a
-    growing ladder of column subsets beyond _SUBSET_THRESHOLD columns).  Raises
-    linalg.FillBudgetExceeded when a kernel would pass its memory budget."""
+    over GF(2), sparse Markowitz-pivot elimination over all columns for odd
+    p.  Raises linalg.FillBudgetExceeded when a kernel would pass its memory
+    budget."""
     if system.field.p == 2:
         # Chunks are single vertices over GF(2), so every coefficient is 1.
         x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [system.rhs_row])
     else:
-        x = _solve_wide(system)
+        entries = [[(r, 1) for r in rows] for rows in system.col_rows]
+        x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field)
     if x is None:
         return None
     return _expand(system, x)
@@ -538,6 +506,7 @@ def certificate_search_to_json_dict(g: Graph, k: int, field: PrimeField,
 def certificate_from_json_dict(data: Mapping) -> tuple[Certificate, Graph]:
     if data.get("kind") != "certificate":
         raise ValueError("not a certificate document")
+    check_json_version(data)
     field = field_from_json(data["field"])
     if not isinstance(field, PrimeField):
         raise ValueError("certificates are defined over prime fields")

@@ -44,6 +44,7 @@ from .ideals import (
     JSON_VERSION,
     build_ideal,
     check_coloring,
+    check_json_version,
     field_from_json,
     field_to_json,
     graph_from_json,
@@ -214,12 +215,14 @@ def cmd_cert(args) -> int:
 
 
 def _certificate_claim_holds(data: dict, cert) -> bool:
-    """True iff `degree` and `lifted_degree` are the ones the coefficients
-    have and `infeasible_degrees` are strictly increasing admissible degrees
-    below `degree`."""
+    """True iff `degree` and `lifted_degree` are the integers the
+    coefficients have (`lifted_degree` null when unlifted) and
+    `infeasible_degrees` are strictly increasing admissible degrees below
+    `degree`."""
+    degree, lifted = data.get("degree"), data.get("lifted_degree")
     infeasible = list(cert.infeasible_degrees)
-    return (data.get("degree") == cert.degree
-            and data.get("lifted_degree") == cert.lifted_degree
+    return (type(degree) is int and degree == cert.degree
+            and type(lifted) is type(cert.lifted_degree) and lifted == cert.lifted_degree
             and all(type(d) is int for d in infeasible)
             and infeasible == sorted(set(infeasible))
             and set(infeasible) <= set(admissible_degrees(cert.k, cert.degree - 1)))
@@ -281,6 +284,7 @@ def cmd_verify_gb(args) -> int:
     try:
         if data.get("kind") != "groebner_basis":
             raise ValueError("not a groebner_basis document")
+        check_json_version(data)
         field = field_from_json(data["field"])
         k = int(data["k"])
         g = graph_from_json(data["graph"])

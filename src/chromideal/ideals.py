@@ -84,6 +84,14 @@ def check_coloring(g: Graph, k: int, coloring: Mapping[int, int]) -> bool:
 JSON_VERSION = 1
 
 
+def check_json_version(data: Mapping) -> None:
+    """Raise ValueError unless the document's "version" is the integer
+    JSON_VERSION: a document of another version is not read as this one."""
+    version = data.get("version")
+    if type(version) is not int or version != JSON_VERSION:
+        raise ValueError(f"document version {version!r} is not {JSON_VERSION}")
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 

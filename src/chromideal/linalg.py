@@ -46,10 +46,11 @@ from .fields import PrimeField
 # plus that copy: at most twice this, about 4 GB.
 _DENSE_BYTES = 2_000_000_000
 # Stored nonzeros allowed during one odd-p elimination.  A stored entry costs
-# about 125 bytes: K_7/k=6/GF(5) at degree 13 reaches 8 M on its first ladder
-# rung at a 1.14 GB peak RSS, 139 MB of it assembly (CPython 3.11, 2-vCPU
-# x86-64 guest).  A larger budget only delays the failure: at 30 M that rung
-# ran for 16 minutes, reached 4.06 GB and had not finished.
+# about 125 bytes: a 50,020-column subsystem of the plain (trivial-group)
+# K_7/k=6/GF(5) system at degree 13 reaches 8 M at a 1.14 GB peak RSS, 139 MB
+# of it assembly (CPython 3.11, 2-vCPU x86-64 guest).  A larger budget only
+# delays the failure: at 30 M that subsystem ran for 16 minutes, reached
+# 4.06 GB and had not finished.
 _FILL_BUDGET = 8_000_000
 
 

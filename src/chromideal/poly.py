@@ -58,10 +58,7 @@ class Monomial:
         return tuple(v for v, _ in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d)
+        return _monomial(_merge_exps(self.exps, other.exps))
 
     def divides(self, other: "Monomial") -> bool:
         o = dict(other.exps)
@@ -246,14 +243,6 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(self.field, self.field.one)
-        for _ in range(e):
-            out = out * self
-        return out
 
     def scale(self, c) -> "Polynomial":
         f = self.field

@@ -159,22 +159,8 @@ def test_fill_budget_fails_loudly(monkeypatch):
         solve_sparse(cols, rhs, F7)
 
 
-def test_wide_subset_ladder_solves_a_real_certificate_cell(monkeypatch):
-    """Force the wide-system path on a cell the direct path already covers."""
-    import chromideal.certificates as certs
-
-    monkeypatch.setattr(certs, "_SUBSET_THRESHOLD", 10)
-    cert = search_certificate(complete_graph(5), 4, F3)
-    assert cert.degree == 5
-    assert verify_certificate(cert, build_ideal(complete_graph(5), 4, F3))
-
-
-def test_wide_subset_ladder_reports_infeasibility_exactly(monkeypatch):
-    """An infeasible system must climb to full width and still say None."""
-    import chromideal.certificates as certs
-
-    monkeypatch.setattr(certs, "_SUBSET_THRESHOLD", 1)
-    assert solve_system(assemble_system(complete_graph(5), 4, F3, 1)) is None
+def test_colorable_edge_system_is_infeasible():
+    """One edge is 2-colorable, so its degree-3 system over GF(3) says None."""
     assert solve_system(assemble_system(Graph(2, [(1, 2)]), 2, F3, 3)) is None
 
 

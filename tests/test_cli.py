@@ -143,15 +143,20 @@ def test_cert_verify_round_trip(capsys, k4, tmp_path):
         {"infeasible_degrees": [1, 1]},
         {"infeasible_degrees": [2]},
         {"infeasible_degrees": ["1"]},
+        {"degree": 4.0},
+        {"lifted_degree": 4.0},
     ],
     ids=["degree", "lifted-degree", "infeasible-at-degree", "infeasible-repeated",
-         "infeasible-not-admissible", "infeasible-string"],
+         "infeasible-not-admissible", "infeasible-string", "degree-float",
+         "lifted-degree-float"],
 )
 def test_verify_cert_checks_claimed_degrees(capsys, k4, tmp_path, edit):
-    """The K_4/k=3/GF(7) lifted document (degree 4, infeasible_degrees [1])
-    verifies; with one claimed degree edited it does not."""
+    """The K_4/k=3/GF(7) lifted document (degree 4, lifted_degree 4,
+    infeasible_degrees [1]) verifies; with one claimed degree edited it does
+    not."""
     code, doc = run_json(capsys, "cert", "--k", "3", "--p", "7", "--lift", k4)
-    assert code == 0 and doc["degree"] == 4 and doc["infeasible_degrees"] == [1]
+    assert code == 0 and doc["degree"] == doc["lifted_degree"] == 4
+    assert doc["infeasible_degrees"] == [1]
     doc_path = tmp_path / "cert.json"
     doc_path.write_text(json.dumps(doc))
     code, verdict = run_json(capsys, "verify-cert", str(doc_path))
@@ -323,14 +328,18 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
         ("verify-gb", lambda doc: {**doc, "graph": {"n": 4, "edges": [1]}}),
         ("verify-gb", lambda doc: {**doc, "field": None}),
         ("verify-gb", lambda doc: {**doc, "basis": [5]}),
+        ("verify-gb", lambda doc: {**doc, "version": 2}),
         ("verify-cert", lambda doc: [doc]),
         ("verify-cert", lambda doc: {**doc, "edge_coefficients": []}),
         ("verify-cert", lambda doc: {**doc, "k": 0}),
         ("verify-cert", lambda doc: {**doc, "edge_coefficients": _name_first_edge_twice(
             doc["edge_coefficients"])}),
+        ("verify-cert", lambda doc: {**doc, "version": 99}),
+        ("verify-cert", lambda doc: {**doc, "version": "1"}),
     ],
     ids=["gb-array", "gb-null-order", "gb-int-edge", "gb-null-field", "gb-int-poly",
-         "cert-array", "cert-list-coefficients", "cert-k-zero", "cert-repeated-edge"],
+         "gb-version", "cert-array", "cert-list-coefficients", "cert-k-zero",
+         "cert-repeated-edge", "cert-version", "cert-version-string"],
 )
 def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
     source = ["gb", "--k", "4"] if verb == "verify-gb" else ["cert", "--k", "3", "--p", "7"]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chromideal.fields import GF, QQ, kth_roots_of_unity
@@ -21,6 +21,7 @@ from chromideal.poly import (
     render,
     s_polynomial,
 )
+from dict_product import dict_monomial_product, term_by_term_product
 
 F5 = GF(5)
 F7 = GF(7)
@@ -62,7 +63,7 @@ def test_product_difference_of_squares():
 
 def test_freshman_dream_in_characteristic_two():
     f2 = GF(2)
-    square = P("x1 + x2", f2) ** 2
+    square = P("x1 + x2", f2) * P("x1 + x2", f2)
     assert square == P("x1^2 + x2^2", f2)
 
 
@@ -144,6 +145,32 @@ def test_order_total_and_multiplicative(a, b, c):
         assert (ka == kb) == (a == b)
         if ka > kb:
             assert order.sort_key(a * c) > order.sort_key(b * c)
+
+
+@given(mono_st, mono_st)
+@example(Monomial(), Monomial({2: 1}))
+@example(Monomial({1: 2}), Monomial({3: 1}))
+@example(Monomial({1: 2, 3: 1}), Monomial({3: 4}))
+def test_monomial_product_matches_dict_oracle(a, b):
+    """The merged product equals the dict-built one, hash included, on empty,
+    disjoint and shared variables."""
+    product, expected = a * b, dict_monomial_product(a, b)
+    assert product == expected and hash(product) == hash(expected)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    field = draw(st.sampled_from([F7, QQ]))
+    terms = st.lists(st.tuples(mono_st, st.integers(-3, 3)), max_size=4)
+    return Polynomial(field, draw(terms)), Polynomial(field, draw(terms))
+
+
+@given(polynomial_pairs())
+@example((P("x1 + x2", F7), P("x1 - x2", F7)))
+@example((P("x1 + x2"), P("x1 - x2")))
+def test_polynomial_product_matches_term_by_term_oracle(pair):
+    f, g = pair
+    assert f * g == term_by_term_product(f, g)
 
 
 def dense_sort_key(order, m):
