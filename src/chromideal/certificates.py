@@ -17,6 +17,7 @@ of division by the vertex generators.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -34,6 +35,7 @@ from .ideals import (
     field_to_json,
     graph_from_json,
     graph_to_json,
+    json_int,
     mk_edge_poly,
     mk_vertex_poly,
     quotient_reduce,
@@ -194,7 +196,9 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
     """Sparse system whose solutions are the edge-coefficient certificates of
     degree at most d in the quotient ring (monomial degrees = 1 mod k), over
     the orbits of the swaps within `chunks` (see twin_chunks; None: every
-    vertex alone, the plain system)."""
+    vertex alone, the plain system).  Raises linalg.FillBudgetExceeded as
+    soon as the coefficient monomials show that the system will pass the
+    budget of the kernel that would solve it."""
     if not isinstance(field, PrimeField):
         raise ValueError("certificate systems are assembled over prime fields")
     _check_characteristic(field, k)
@@ -216,35 +220,42 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
                 code += (s - e) * weight[w]
         return code
 
-    # (monomials, movable chunks) per edge-stabilizer shape: the chunks of
-    # size > 1 holding an endpoint.  Under the trivial group there is one.
-    shapes: dict[tuple, tuple[list, list]] = {}
+    # One edge per orbit (the first vertices of two chunks, or the first two
+    # of one chunk), keyed by its movable chunks: those of size > 1 holding
+    # an endpoint.  The edges of one key share their coefficient monomials.
+    reps = []
+    for u, v in g.edges():
+        cu, cv = chunk_of[u], chunk_of[v]
+        if u == cu[0] and v == (cu[1] if cu is cv else cv[0]):
+            movable = [c for c in dict.fromkeys((cu, cv)) if len(c) > 1]
+            reps.append((u, v, movable, (cu is cv, *movable)))
+    uses = collections.Counter(key for *_, key in reps)
+    shapes: dict[tuple, list] = {}
+    n_cols = 0  # the columns of the keys enumerated so far
+    for u, v, _, key in reps:
+        if key in shapes:
+            continue
+        monomials = shapes[key] = []
+        for exps in _coefficient_monomials(g.n, k, degrees, _stabilizer_chains(g.n, chunks, {u, v})):
+            monomials.append((Monomial(exps), dict(exps), sum(e * weight[w] for w, e in exps)))
+            cols = n_cols + uses[key] * len(monomials)
+            if field.p == 2:  # plain: for fixed (edge, l), the row fixes the monomial
+                linalg.check_dense_gf2(len(monomials), cols)
+            elif k * cols > linalg._FILL_BUDGET:  # solve_sparse's count before its first pivot
+                raise linalg.FillBudgetExceeded(f"{k * cols} entries exceed {linalg._FILL_BUDGET}")
+        n_cols += uses[key] * len(monomials)
+
     # Row ids in order of first touch; the constant row carrying the rhs is 0.
     row_index = {0: 0}
     columns = []
     col_rows = []
-    for u, v in g.edges():
-        cu, cv = chunk_of[u], chunk_of[v]
-        # One edge per orbit: the first vertices of two chunks, or the first
-        # two of one chunk.
-        if u != cu[0] or v != (cu[1] if cu is cv else cv[0]):
-            continue
-        movable = [c for c in dict.fromkeys((cu, cv)) if len(c) > 1]
-        key = (cu is cv, *movable)
-        if key not in shapes:
-            monomials = []
-            pred = _stabilizer_chains(g.n, chunks, {u, v})
-            for exps in _coefficient_monomials(g.n, k, degrees, pred):
-                code = sum(e * weight[w] for w, e in exps)
-                monomials.append((Monomial(exps), dict(exps), code))
-            shapes[key] = monomials, movable
-        monomials, movable = shapes[key]
+    for u, v, movable, key in reps:
         wu, wv = weight[u], weight[v]
         # shift[a][b]: code offsets of the k rows of a column whose monomial
         # has exponents a at u and b at v.
         shift = [[[((a + l) % k - a) * wu + ((b + k - 1 - l) % k - b) * wv for l in range(k)]
                   for b in range(k)] for a in range(k)]
-        for mono, exps, code in monomials:
+        for mono, exps, code in shapes[key]:
             offsets = shift[exps.get(u, 0)][exps.get(v, 0)]
             if movable:
                 offsets = [sort_chunks(code + s, movable) - code for s in offsets]
@@ -305,10 +316,9 @@ def _expand(system: LinearSystem, x: list[int]) -> dict[tuple[tuple[int, int], M
 def solve_system(system: LinearSystem) -> dict[tuple[tuple[int, int], Monomial], int] | None:
     """One solution of the plain system (nonzero entries only), expanded from
     a solution of the orbit system, or None if it is inconsistent.
-    Deterministic: bit-packed dense forward elimination and back-substitution
-    over GF(2), sparse Markowitz-pivot elimination over all columns for odd
-    p.  Raises linalg.FillBudgetExceeded when a kernel would pass its memory
-    budget."""
+    Deterministic: echelon reduction of int bitsets over GF(2), sparse
+    Markowitz-pivot elimination for odd p.  Raises
+    linalg.FillBudgetExceeded when a kernel would pass its memory budget."""
     if system.field.p == 2:
         # Chunks are single vertices over GF(2), so every coefficient is 1.
         x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [system.rhs_row])
@@ -510,7 +520,7 @@ def certificate_from_json_dict(data: Mapping) -> tuple[Certificate, Graph]:
     field = field_from_json(data["field"])
     if not isinstance(field, PrimeField):
         raise ValueError("certificates are defined over prime fields")
-    k = int(data["k"])
+    k = json_int(data["k"])
     g = graph_from_json(data["graph"])
     edge_coeffs = {}
     for key, text in data["edge_coefficients"].items():

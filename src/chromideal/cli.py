@@ -49,6 +49,7 @@ from .ideals import (
     field_to_json,
     graph_from_json,
     graph_to_json,
+    json_int,
 )
 from .linalg import FillBudgetExceeded
 from .oracle import (
@@ -286,7 +287,7 @@ def cmd_verify_gb(args) -> int:
             raise ValueError("not a groebner_basis document")
         check_json_version(data)
         field = field_from_json(data["field"])
-        k = int(data["k"])
+        k = json_int(data["k"])
         g = graph_from_json(data["graph"])
         if not data.get("chordal"):
             raise ValueError("document carries no basis (graph was not chordal)")
@@ -294,7 +295,7 @@ def cmd_verify_gb(args) -> int:
         if data.get("infeasible"):
             order = TermOrder.natural(g.vertices or (1,), "lex")
         else:
-            ranks = {int(v): int(r) for v, r in data["order"]["ranks"].items()}
+            ranks = {int(v): json_int(r) for v, r in data["order"]["ranks"].items()}
             order = TermOrder(data["order"]["kind"], ranks)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed basis document: {exc}") from exc

@@ -92,12 +92,19 @@ def check_json_version(data: Mapping) -> None:
         raise ValueError(f"document version {version!r} is not {JSON_VERSION}")
 
 
+def json_int(value) -> int:
+    """value if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
 def graph_from_json(d: dict) -> Graph:
-    return Graph(int(d["n"]), [(int(u), int(v)) for u, v in d["edges"]])
+    return Graph(json_int(d["n"]), [(json_int(u), json_int(v)) for u, v in d["edges"]])
 
 
 def field_to_json(field) -> dict:
@@ -112,5 +119,5 @@ def field_from_json(d: dict):
     if d["kind"] == "rational":
         return QQ
     if d["kind"] == "prime":
-        return PrimeField(int(d["p"]))
+        return PrimeField(json_int(d["p"]))
     raise ValueError(f"unknown field kind {d['kind']!r}")

@@ -222,7 +222,10 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_field(other)
+        f = self.field
+        negated = ((m, f.neg(c)) for m, c in other.terms.items())
+        return _raw(f, _add_terms(f, dict(self.terms), negated))
 
     def __neg__(self):
         f = self.field

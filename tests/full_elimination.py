@@ -6,12 +6,14 @@ pushed only when a pivot row retires.  They pivot through the whole system,
 so the differential tests can check that the production kernels return
 equal vectors, not just valid ones.
 
-full_solve_gf2 is now a different algorithm from solve_gf2: it runs
-Gauss-Jordan elimination, XORing each pivot row into every other row that
-holds its bit, and reads x off the reduced pivot rows.  solve_gf2 runs
-forward elimination and back-substitutes.  The vectors still agree: both
-pick the same pivots (the unpivoted rows change alike in both), and with
-every non-pivot column at 0 the solution is unique.
+full_solve_gf2 is now a different algorithm from solve_gf2, on numpy
+uint64 words: it runs Gauss-Jordan elimination column by column, XORing
+each pivot row into every other row that holds its bit, and reads x off
+the reduced pivot rows.  solve_gf2 reduces rows one by one, in its own
+order, into an echelon form of Python ints and back-substitutes.  The
+vectors still agree: both pivot on the leftmost columns of the row space
+of [A | b], a set that does not depend on the row order, and with every
+non-pivot column at 0 the solution is unique.
 
 The memory budgets are left out: the oracle only runs on small systems.
 """

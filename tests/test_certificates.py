@@ -159,6 +159,56 @@ def test_fill_budget_fails_loudly(monkeypatch):
         solve_sparse(cols, rhs, F7)
 
 
+C7 = Graph(7, [(i, i % 7 + 1) for i in range(1, 8)])  # no twins: the plain system
+
+
+@pytest.mark.parametrize("p, budget, limit", [(5, "_FILL_BUDGET", 3 * 7 * 10),
+                                               (2, "_DENSE_BYTES", 170)])
+def test_assembly_stops_while_enumerating_monomials(monkeypatch, p, budget, limit):
+    """Each of C_7's 7 edges gets a column per coefficient monomial, so the
+    11th monomial makes 77 columns: 231 entries over GF(5), and over GF(2)
+    at least 11 rows of two 64-bit words (176 bytes).  Assembly raises
+    there, before it builds any column."""
+    import chromideal.certificates
+
+    enumerate_monomials = chromideal.certificates._coefficient_monomials
+    seen = []
+
+    def counted(*args):
+        for exps in enumerate_monomials(*args):
+            seen.append(exps)
+            yield exps
+
+    monkeypatch.setattr(chromideal.certificates, "_coefficient_monomials", counted)
+    monkeypatch.setattr(chromideal.linalg, budget, limit)
+    with pytest.raises(chromideal.linalg.FillBudgetExceeded):
+        assemble_system(C7, 3, GF(p), 4)
+    assert len(seen) == 11
+    monkeypatch.undo()
+    assert assemble_system(C7, 3, GF(p), 4).n_cols == 7 * 168
+
+
+def test_assembly_budget_refuses_only_past_the_kernel_budget(monkeypatch):
+    """At a budget equal to the finished system's size the system assembles
+    (and over GF(2) solves); one below, the odd-p system is refused by
+    assembly and the GF(2) one by solve_gf2 at the latest."""
+    sizes = {}
+    for p in (2, 5):
+        system = assemble_system(C7, 3, GF(p), 4)
+        rows, cols = len(system.row_monomials), system.n_cols
+        sizes[p] = rows * ((cols + 64) // 64) * 8 if p == 2 else 3 * cols
+    monkeypatch.setattr(chromideal.linalg, "_DENSE_BYTES", sizes[2])
+    monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", sizes[5])
+    assert solve_system(assemble_system(C7, 3, F2, 4)) is None
+    assert assemble_system(C7, 3, F5, 4).n_cols == 7 * 168
+    monkeypatch.setattr(chromideal.linalg, "_DENSE_BYTES", sizes[2] - 1)
+    monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", sizes[5] - 1)
+    with pytest.raises(chromideal.linalg.FillBudgetExceeded, match="dense GF"):
+        solve_system(assemble_system(C7, 3, F2, 4))
+    with pytest.raises(chromideal.linalg.FillBudgetExceeded, match="entries exceed"):
+        assemble_system(C7, 3, F5, 4)
+
+
 def test_colorable_edge_system_is_infeasible():
     """One edge is 2-colorable, so its degree-3 system over GF(3) says None."""
     assert solve_system(assemble_system(Graph(2, [(1, 2)]), 2, F3, 3)) is None

@@ -336,10 +336,23 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
             doc["edge_coefficients"])}),
         ("verify-cert", lambda doc: {**doc, "version": 99}),
         ("verify-cert", lambda doc: {**doc, "version": "1"}),
+        ("verify-gb", lambda doc: {**doc, "k": 4.0}),
+        ("verify-gb", lambda doc: {**doc, "order": {**doc["order"], "ranks": {
+            v: float(r) for v, r in doc["order"]["ranks"].items()}}}),
+        ("verify-gb", lambda doc: {**doc, "graph": {**doc["graph"], "edges": [
+            [True if u == 1 else u, v] for u, v in doc["graph"]["edges"]]}}),
+        ("verify-cert", lambda doc: {**doc, "k": 3.9}),
+        ("verify-cert", lambda doc: {**doc, "k": "3"}),
+        ("verify-cert", lambda doc: {**doc, "graph": {**doc["graph"], "n": 4.5}}),
+        ("verify-cert", lambda doc: {**doc, "graph": {**doc["graph"], "edges": [
+            [u, float(v)] for u, v in doc["graph"]["edges"]]}}),
+        ("verify-cert", lambda doc: {**doc, "field": {**doc["field"], "p": 7.0}}),
     ],
     ids=["gb-array", "gb-null-order", "gb-int-edge", "gb-null-field", "gb-int-poly",
          "gb-version", "cert-array", "cert-list-coefficients", "cert-k-zero",
-         "cert-repeated-edge", "cert-version", "cert-version-string"],
+         "cert-repeated-edge", "cert-version", "cert-version-string",
+         "gb-float-k", "gb-float-rank", "gb-bool-edge-end", "cert-float-k", "cert-string-k",
+         "cert-float-n", "cert-float-edge-end", "cert-float-p"],
 )
 def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
     source = ["gb", "--k", "4"] if verb == "verify-gb" else ["cert", "--k", "3", "--p", "7"]
@@ -433,6 +446,18 @@ def test_module_entry_point(k4):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["colorings"] == 24
+
+
+def test_cli_import_leaves_numpy_out():
+    """The package has no third-party runtime dependency: importing the CLI
+    in a fresh interpreter loads no numpy."""
+    import subprocess
+    import sys
+
+    code = "import sys, chromideal.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_stdin_verify(capsys, k4, tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
 """The production kernels return the vectors that full elimination returns.
 
-solve_sparse and solve_gf2 stop pivoting once no unpivoted row carries a
-nonzero rhs, solve_sparse pushes a column on its heap only when a pivot row
-retires, and solve_gf2 eliminates forward and back-substitutes where the
-oracle runs Gauss-Jordan.  None of this may change the answer: these tests
-compare the returned vectors (not just their validity) with the
-full-elimination oracle in full_elimination.py, kernel by kernel and
-through search_certificate.
+solve_sparse stops pivoting once no unpivoted row carries a nonzero rhs and
+pushes a column on its heap only when a pivot row retires.  solve_gf2
+reduces Python-int rows into an echelon form, last row first, and
+back-substitutes, where the numpy oracle runs Gauss-Jordan column by
+column.  None of this may change the answer: these tests compare the
+returned vectors (not just their validity) with the full-elimination oracle
+in full_elimination.py, kernel by kernel, on feasible and infeasible
+certificate systems and through search_certificate.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chromideal.linalg
-from chromideal.certificates import search_certificate
+from chromideal.certificates import admissible_degrees, assemble_system, search_certificate
 from chromideal.fields import GF
 from chromideal.graphs import Graph, complete_graph
 from chromideal.linalg import solve_gf2, solve_sparse
@@ -82,10 +83,11 @@ def test_kernels_match_on_certificate_shaped_systems(p):
 
 
 def test_gf2_kernel_matches_across_word_boundaries():
-    """The GF(2) kernel packs 64 columns to a word and the rhs after the
-    last column, so widths of 63, 64 and 65 put the rhs bit at bit 63, at
-    the start of a new word and mid-word.  Tall and wide systems, the rhs on
-    one row, on several, or on A x0; both outcomes must occur."""
+    """The oracle packs 64 columns to a word and the rhs after the last
+    column, and the kernel sizes its budget in such words, so widths of 63,
+    64 and 65 put the rhs bit at bit 63, at the start of a new word and
+    mid-word.  Tall and wide systems, the rhs on one row, on several, or on
+    A x0; both outcomes must occur."""
     rng = random.Random(64)
     widths = [1, 63, 64, 65, 127, 128, 129] + [rng.randint(1, 300) for _ in range(7)]
     outcomes = set()
@@ -129,13 +131,26 @@ def planted(n, k, rng):
     return Graph(n, sorted(clique | set(rng.sample(others, len(others) // 3))))
 
 
+def wheel(r):
+    """The wheel W_r: a hub joined to every vertex of an r-cycle."""
+    n = r + 1
+    return Graph(n, [(i, i % r + 1) for i in range(1, n)] + [(i, n) for i in range(1, n)])
+
+
+def cycle(n):
+    return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
 def certificate_cells():
-    # the complete-graph cells of the benchmark grid, then planted graphs
+    # the complete-graph cells of the benchmark grid, then planted graphs,
+    # then an odd wheel of the grid (no twins: 924 columns and 1,051 rows at
+    # degree 1 over GF(2))
     cells = [(complete_graph(n), k, p) for n, k, p in
              [(4, 3, 2), (4, 3, 5), (4, 3, 7), (5, 4, 3), (5, 4, 5), (5, 4, 7), (6, 5, 2)]]
     rng = random.Random(9)
     cells += [(planted(n, k, rng), k, p) for n, k, p in
               [(7, 3, 5), (8, 3, 7), (9, 3, 5), (6, 4, 3), (6, 4, 5), (6, 4, 7), (9, 3, 2)]]
+    cells.append((wheel(21), 3, 2))
     return cells
 
 
@@ -148,3 +163,15 @@ def test_search_certificate_matches_full_elimination(g, k, p, monkeypatch):
     assert cert is not None and full is not None
     assert (cert.degree, cert.infeasible_degrees) == (full.degree, full.infeasible_degrees)
     assert cert.edge_coeffs == full.edge_coeffs
+
+
+@pytest.mark.parametrize("d", admissible_degrees(3, 7))
+def test_gf2_kernel_matches_on_an_infeasible_certificate_system(d):
+    """C_7 is 3-colorable, so its GF(2) certificate systems are inconsistent
+    at every degree.  At d=7 (3,927 columns, 701 rows) the kernel takes the
+    constant row, the only one with a nonzero rhs, last, so it meets the
+    contradiction only after reducing every other row."""
+    system = assemble_system(cycle(7), 3, GF(2), d)
+    args = (len(system.row_monomials), system.col_rows, [system.rhs_row])
+    assert solve_gf2(*args) is None
+    assert full_solve_gf2(*args) is None

@@ -75,6 +75,8 @@ def test_additive_inverse():
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatchError):
         P("x1", QQ) + P("x1", F5)
+    with pytest.raises(FieldMismatchError):
+        P("x1", QQ) - P("x1", F5)
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
@@ -171,6 +173,16 @@ def polynomial_pairs(draw):
 def test_polynomial_product_matches_term_by_term_oracle(pair):
     f, g = pair
     assert f * g == term_by_term_product(f, g)
+
+
+@given(polynomial_pairs())
+@example((P("x1 + x2", F7), P("x1 + 3*x2", F7)))
+def test_difference_is_the_sum_with_the_negation(pair):
+    """Subtraction adds the negated terms in one pass; it must equal the sum
+    with the negated polynomial, cancellations included."""
+    f, g = pair
+    assert f - g == f + (-g)
+    assert (f - f).is_zero
 
 
 def dense_sort_key(order, m):
