@@ -30,6 +30,7 @@ from .ideals import (
     JSON_VERSION,
     ColoringIdeal,
     _check_characteristic,
+    _int_key,
     check_json_version,
     field_from_json,
     field_to_json,
@@ -40,7 +41,7 @@ from .ideals import (
     mk_vertex_poly,
     quotient_reduce,
 )
-from .poly import Monomial, Polynomial, _add_terms, parse_poly, render
+from .poly import Monomial, Polynomial, _add_terms, _raw, parse_poly, render
 
 
 class InvalidCertificate(ValueError):
@@ -147,10 +148,10 @@ class LinearSystem:
     constant row carrying the rhs 1.  A row is named by the code of its
     canonical monomial, whose exponents do not increase within a chunk: the
     exponent of x_v is the base-k digit of weight k^(v-1), so the constant
-    row is code 0.  Each column lists the row orbits of its representative's
-    k quotient monomials; a row listed c times carries coefficient c.  Under
-    the trivial group (every chunk one vertex) this is the plain system with
-    coefficients 1.
+    row is code 0 and row id 0.  Each column lists the row orbits of its
+    representative's k quotient monomials; a row listed c times carries
+    coefficient c.  Under the trivial group (every chunk one vertex) this is
+    the plain system with coefficients 1.
 
     The group order is prime to p, so the Reynolds average of any solution
     of the plain system is constant on column orbits: the orbit system is
@@ -158,14 +159,11 @@ class LinearSystem:
     plain system by giving every column of orbit O the value z_O / |O|.
     """
 
-    graph: Graph
-    k: int
     field: PrimeField
     degree: int
     columns: list[tuple[tuple[int, int], Monomial]]
     col_rows: list[list[int]]
     row_monomials: list[int]
-    rhs_row: int
     chunks: tuple[tuple[int, ...], ...]
 
     @property
@@ -261,7 +259,7 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
                 offsets = [sort_chunks(code + s, movable) - code for s in offsets]
             col_rows.append([row_index.setdefault(code + s, len(row_index)) for s in offsets])
             columns.append(((u, v), mono))
-    return LinearSystem(g, k, field, d, columns, col_rows, list(row_index), 0, chunks)
+    return LinearSystem(field, d, columns, col_rows, list(row_index), chunks)
 
 
 def _arrangements(labels: list) -> Iterator[tuple]:
@@ -281,9 +279,9 @@ def _arrangements(labels: list) -> Iterator[tuple]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def _expand(system: LinearSystem, x: list[int]) -> dict[tuple[tuple[int, int], Monomial], int]:
-    """The plain-system solution of orbit solution x: every column of the
-    orbit of column j gets x[j] / |orbit|."""
+def _expand(system: LinearSystem, x: list[int]) -> dict[tuple[int, int], dict[Monomial, int]]:
+    """The plain-system solution of orbit solution x, as term dicts keyed by
+    edge: every column of the orbit of column j gets x[j] / |orbit|."""
     p = system.field.p
     moving = [c for c in system.chunks if len(c) > 1]
     moved = {w for c in moving for w in c}
@@ -296,7 +294,7 @@ def _expand(system: LinearSystem, x: list[int]) -> dict[tuple[tuple[int, int], M
         orders = [list(_arrangements([(exps.get(w, 0), w in edge) for w in c])) for c in moving]
         size = math.prod(map(len, orders))
         if size == 1:  # the column is its own orbit
-            solution[edge, mono] = z
+            solution.setdefault(edge, {})[mono] = z
             continue
         share = z * pow(size, p - 2, p) % p
         fixed = [(w, e) for w, e in mono.exps if w not in moved]
@@ -309,22 +307,22 @@ def _expand(system: LinearSystem, x: list[int]) -> dict[tuple[tuple[int, int], M
                         pairs.append((w, e))
                     if end:
                         ends.append(w)
-            solution[tuple(sorted(ends)), Monomial(pairs)] = share
+            solution.setdefault(tuple(sorted(ends)), {})[Monomial(pairs)] = share
     return solution
 
 
-def solve_system(system: LinearSystem) -> dict[tuple[tuple[int, int], Monomial], int] | None:
-    """One solution of the plain system (nonzero entries only), expanded from
-    a solution of the orbit system, or None if it is inconsistent.
+def solve_system(system: LinearSystem) -> dict[tuple[int, int], dict[Monomial, int]] | None:
+    """One plain-system solution as term dicts keyed by edge, expanded from
+    a solution of the orbit system, or None if the system is inconsistent.
     Deterministic: echelon reduction of int bitsets over GF(2), sparse
     Markowitz-pivot elimination for odd p.  Raises
     linalg.FillBudgetExceeded when a kernel would pass its memory budget."""
     if system.field.p == 2:
         # Chunks are single vertices over GF(2), so every coefficient is 1.
-        x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [system.rhs_row])
+        x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [0])
     else:
         entries = [[(r, 1) for r in rows] for rows in system.col_rows]
-        x = linalg.solve_sparse(entries, {system.rhs_row: 1}, system.field)
+        x = linalg.solve_sparse(entries, {0: 1}, system.field)
     if x is None:
         return None
     return _expand(system, x)
@@ -368,9 +366,7 @@ class Certificate:
         """Max degree over all coefficients once lifted; None before lifting."""
         if self.vertex_coeffs is None:
             return None
-        return max(
-            [self.degree] + [g.degree() for g in self.vertex_coeffs.values()]
-        )
+        return max([self.degree] + [g.degree() for g in self.vertex_coeffs.values()])
 
 
 def search_certificate(
@@ -402,15 +398,22 @@ def search_certificate(
                 f"({system.n_cols} column orbits, {len(system.row_monomials)} row orbits, "
                 f"group order {system.group_order})"
             )
-        if solution is None:
-            infeasible.append(d)
-            continue
-        edge_coeffs: dict[tuple[int, int], dict[Monomial, int]] = {}
-        for (edge, mono), c in solution.items():
-            edge_coeffs.setdefault(edge, {})[mono] = c
-        betas = {e: Polynomial(field, terms) for e, terms in sorted(edge_coeffs.items())}
-        return Certificate(field, k, betas, None, tuple(infeasible))
+        if solution is not None:
+            betas = {e: _raw(field, terms) for e, terms in sorted(solution.items())}
+            return Certificate(field, k, betas, None, tuple(infeasible))
+        infeasible.append(d)
     return None
+
+
+def _edge_sum(cert: Certificate, edge_polys: Mapping[tuple[int, int], Polynomial]) -> Polynomial:
+    """sum_e beta_e g_e, accumulated in one term dict; ValueError for an edge not in edge_polys."""
+    field, mul, total = cert.field, cert.field.mul, {}
+    for e, beta in cert.edge_coeffs.items():
+        if e not in edge_polys:
+            raise ValueError(f"certificate names edge {e} not in the graph")
+        g = edge_polys[e].terms.items()
+        _add_terms(field, total, ((m * n, mul(b, c)) for m, b in beta.terms.items() for n, c in g))
+    return _raw(field, total)
 
 
 def verify_certificate(cert: Certificate, ideal: ColoringIdeal) -> bool:
@@ -419,59 +422,45 @@ def verify_certificate(cert: Certificate, ideal: ColoringIdeal) -> bool:
     ring when vertex coefficients are present."""
     if cert.field != ideal.field or cert.k != ideal.k:
         raise ValueError("certificate and ideal disagree on field or k")
-    for e in cert.edge_coeffs:
-        if e not in ideal.edge_polys:
-            raise ValueError(f"certificate names edge {e} not in the graph")
-    field = cert.field
-    one = Polynomial.constant(field, field.one)
-    total = Polynomial.zero(field)
-    for e, beta in cert.edge_coeffs.items():
-        total = total + beta * ideal.edge_polys[e]
+    one = Polynomial.constant(cert.field, cert.field.one)
+    total = _edge_sum(cert, ideal.edge_polys)
     if cert.vertex_coeffs is None:
         return quotient_reduce(total, cert.k) == one
     for v, gamma in cert.vertex_coeffs.items():
-        total = total + gamma * mk_vertex_poly(v, cert.k, field)
+        total = total + gamma * mk_vertex_poly(v, cert.k, cert.field)
     return total == one
 
 
-def _split_off_vertex_quotients(f: Polynomial, k: int) -> dict[int, dict[Monomial, object]]:
-    """The q_i of f = quotient_reduce(f, k) + sum_i q_i * (x_i^k - 1), as
-    term dicts keyed by vertex.
+def _split_off_vertex_quotients(f: Polynomial, k: int) -> tuple[Polynomial, dict[int, dict]]:
+    """quotient_reduce(f, k) and the q_i of f = quotient_reduce(f, k) +
+    sum_i q_i * (x_i^k - 1), the q_i as term dicts keyed by vertex.
 
     Telescopes each term x^a = x^(a mod k) * prod_i (x_i^k)^(a_i div k)
     through y^q - 1 = (y - 1)(1 + y + ... + y^(q-1)).
     """
-    field = f.field
-    quotients: dict[int, dict[Monomial, object]] = {}
+    field, reduced, quotients = f.field, [], {}
     for m, c in f.terms.items():
         prefix = {v: e % k for v, e in m.exps}
+        reduced.append((Monomial(prefix), c))
         for v, e in m.exps:
             if e >= k:
                 steps = ((Monomial({**prefix, v: prefix[v] + k * t}), c) for t in range(e // k))
                 _add_terms(field, quotients.setdefault(v, {}), steps)
                 prefix[v] = e
-    return quotients
+    return _raw(field, _add_terms(field, {}, reduced)), quotients
 
 
 def lift_certificate(cert: Certificate, g: Graph) -> Certificate:
     """Complete a quotient-ring certificate to a full-ring identity by adding
     vertex-generator coefficients; raises InvalidCertificate when the input
     does not verify in the quotient ring."""
-    field, k = cert.field, cert.k
-    edges = set(g.edges())
-    for e in cert.edge_coeffs:
-        if e not in edges:
-            raise ValueError(f"certificate names edge {e} not in the graph")
-    total = Polynomial.zero(field)
-    for e, beta in cert.edge_coeffs.items():
-        total = total + beta * mk_edge_poly(e[0], e[1], k, field)
-    if quotient_reduce(total, k) != Polynomial.constant(field, field.one):
+    field, k, neg = cert.field, cert.k, cert.field.neg
+    total = _edge_sum(cert, {(u, v): mk_edge_poly(u, v, k, field) for u, v in g.edges()})
+    reduced, quotients = _split_off_vertex_quotients(total, k)
+    if reduced != Polynomial.constant(field, field.one):
         raise InvalidCertificate("coefficients do not combine to 1 in the quotient ring")
-    vertex_coeffs = {
-        v: Polynomial(field, terms).scale(field.neg(field.one))
-        for v, terms in sorted(_split_off_vertex_quotients(total, k).items())
-    }
-    vertex_coeffs = {v: p for v, p in vertex_coeffs.items() if not p.is_zero}
+    vertex_coeffs = {v: _raw(field, {m: neg(c) for m, c in terms.items()})
+                     for v, terms in sorted(quotients.items()) if terms}
     return replace(cert, vertex_coeffs=vertex_coeffs)
 
 
@@ -524,12 +513,12 @@ def certificate_from_json_dict(data: Mapping) -> tuple[Certificate, Graph]:
     g = graph_from_json(data["graph"])
     edge_coeffs = {}
     for key, text in data["edge_coefficients"].items():
-        u, v = sorted(int(x) for x in key.split("-"))
+        u, v = sorted(_int_key(x) for x in key.split("-"))
         if (u, v) in edge_coeffs:
             raise ValueError(f"edge {u}-{v} is named twice")
         edge_coeffs[(u, v)] = parse_poly(text, field)
     vertex_coeffs = data.get("vertex_coefficients")
     if vertex_coeffs is not None:
-        vertex_coeffs = {int(v): parse_poly(text, field) for v, text in vertex_coeffs.items()}
+        vertex_coeffs = {_int_key(v): parse_poly(text, field) for v, text in vertex_coeffs.items()}
     infeasible = tuple(data.get("infeasible_degrees", ()))
     return Certificate(field, k, edge_coeffs, vertex_coeffs, infeasible), g

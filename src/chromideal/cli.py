@@ -42,6 +42,7 @@ from .graphs import (
 )
 from .ideals import (
     JSON_VERSION,
+    _int_key,
     build_ideal,
     check_coloring,
     check_json_version,
@@ -256,13 +257,13 @@ def _witness_is_large_clique(witness, g, k: int) -> bool:
 
 def _feasible_claim_holds(data: dict, g, k: int, field, polys, order) -> bool:
     """True iff `elimination` is a perfect elimination order of g whose
-    cliques have fewer than k members, the order, basis and dimension are
-    the ones it determines (the elimination term order, one construction
-    polynomial per record, the product of the color choices), and
-    `coloring` is a proper coloring of g."""
+    cliques have fewer than k members, the order, basis and integer
+    dimension are the ones it determines (the elimination term order, one
+    construction polynomial per record, the product of the color choices),
+    and `coloring` is a proper coloring of g."""
     try:
         vertices = [rec["vertex"] for rec in data["elimination"]]
-        coloring = {int(v): c for v, c in data["coloring"].items()}
+        coloring = {_int_key(v): c for v, c in data["coloring"].items()}
         proper = len(coloring) == g.n and check_coloring(g, k, coloring)
     except (TypeError, KeyError, AttributeError, ValueError):
         return False
@@ -277,7 +278,8 @@ def _feasible_claim_holds(data: dict, g, k: int, field, polys, order) -> bool:
             and all(g.has_edge(u, w) for rec in peo for u, w in itertools.combinations(rec.clique, 2))
             and order == elimination_term_order(peo)
             and polys == [basis_polynomial(rec, k, field) for rec in peo]
-            and data.get("dimension") == count_along_order(peo, k))
+            and type(data.get("dimension")) is int
+            and data["dimension"] == count_along_order(peo, k))
 
 
 def cmd_verify_gb(args) -> int:
@@ -295,12 +297,13 @@ def cmd_verify_gb(args) -> int:
         if data.get("infeasible"):
             order = TermOrder.natural(g.vertices or (1,), "lex")
         else:
-            ranks = {int(v): json_int(r) for v, r in data["order"]["ranks"].items()}
+            ranks = {_int_key(v): json_int(r) for v, r in data["order"]["ranks"].items()}
             order = TermOrder(data["order"]["kind"], ranks)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed basis document: {exc}") from exc
     if data.get("infeasible"):
-        ok = _witness_is_large_clique(data.get("witness"), g, k)
+        ok = (_witness_is_large_clique(data.get("witness"), g, k) and data.get("coloring") is None
+              and type(data.get("dimension")) is int and data["dimension"] == 0)
     else:
         ok = _feasible_claim_holds(data, g, k, field, polys, order)
     ok = ok and buchberger_criterion(polys, order) and all(

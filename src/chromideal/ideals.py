@@ -99,6 +99,13 @@ def json_int(value) -> int:
     return value
 
 
+def _int_key(key: str) -> int:
+    """The integer a JSON object key names in canonical decimal ("1", not "+1" or " 01")."""
+    if str(int(key)) != key:
+        raise ValueError(f"key {key!r} is not a canonical integer")
+    return int(key)
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 

@@ -336,15 +336,18 @@ def test_verify_rejects_mismatched_ideal():
         verify_certificate(cert, build_ideal(complete_graph(4), 3, F7))
     with pytest.raises(ValueError, match="not in the graph"):
         verify_certificate(cert, build_ideal(Graph(4, [(1, 2)]), 3, F2))
+    with pytest.raises(ValueError, match="not in the graph"):
+        lift_certificate(cert, Graph(4, [(1, 2)]))
 
 
 # --- lifting ------------------------------------------------------------------------
 
 def test_split_off_vertex_quotients_reconstructs():
     f = P("x1^7*x2 + 3*x2^4 + x1*x2 + 2", F5)
-    reduced = quotient_reduce(f, 3)
+    reduced, quotients = _split_off_vertex_quotients(f, 3)
+    assert reduced == quotient_reduce(f, 3)
     total = reduced
-    for v, terms in _split_off_vertex_quotients(f, 3).items():
+    for v, terms in quotients.items():
         total = total + Polynomial(F5, terms) * mk_vertex_poly(v, 3, F5)
     assert total == f
     assert all(e < 3 for m in reduced.terms for _, e in m.exps)
@@ -353,7 +356,7 @@ def test_split_off_vertex_quotients_reconstructs():
 def test_split_off_nothing_when_exponents_are_small():
     f = P("x1^2*x2 + 4", F5)
     assert quotient_reduce(f, 3) == f
-    assert _split_off_vertex_quotients(f, 3) == {}
+    assert _split_off_vertex_quotients(f, 3) == (f, {})
 
 
 @pytest.mark.parametrize("p,expected_degree", [(2, 1), (5, 4), (7, 4)])

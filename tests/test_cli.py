@@ -248,29 +248,47 @@ def test_verify_gb_accepts_infeasible_document(capsys, k4, tmp_path):
     assert code == 0 and verdict["valid"] is True
 
 
+K4_GRAPH = {"n": 4, "edges": [[u, v] for u in range(1, 5) for v in range(u + 1, 5)]}
+K4_WITNESS = {"vertex": 1, "clique": [2, 3, 4]}
+
+
 @pytest.mark.parametrize(
-    "witness",
+    "witness, changes",
     [
-        None,
-        {"vertex": 1, "clique": [2, 3]},  # a clique, but only k vertices
-        {"vertex": 1, "clique": [2, 2, 3]},
-        {"vertex": 1, "clique": [2, 3, 4]},  # vertex 4 is not in the graph
-        {"vertex": 1},
-        "1 2 3",
+        (None, {}),
+        ({"vertex": 1, "clique": [2, 3]}, {}),  # a clique, but only k vertices
+        ({"vertex": 1, "clique": [2, 2, 3]}, {}),
+        ({"vertex": 1, "clique": [2, 3, 4]}, {}),  # vertex 4 is not in the graph
+        ({"vertex": 1}, {}),
+        ("1 2 3", {}),
+        (K4_WITNESS, {"graph": K4_GRAPH, "dimension": 5}),
+        (K4_WITNESS, {"graph": K4_GRAPH, "dimension": 0.0}),
+        (K4_WITNESS, {"graph": K4_GRAPH, "dimension": False}),
+        (K4_WITNESS, {"graph": K4_GRAPH, "coloring": {"1": 0, "2": 0, "3": 0, "4": 0}}),
     ],
+    ids=["None", "witness1", "witness2", "witness3", "witness4", "1 2 3",
+         "k4-dimension-5", "k4-float-dimension", "k4-bool-dimension", "k4-coloring"],
 )
-def test_verify_gb_rejects_forged_infeasible_document(capsys, witness, tmp_path):
-    """The 3-colorable triangle dressed up as infeasible with basis {1}."""
+def test_verify_gb_rejects_forged_infeasible_document(capsys, witness, changes, tmp_path):
+    """The 3-colorable triangle dressed up as infeasible with basis {1}, and
+    K_4's genuine infeasible document with a false dimension or coloring."""
     doc = {
         "version": 1, "kind": "groebner_basis", "field": {"kind": "rational"},
         "k": 3, "graph": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
         "chordal": True, "infeasible": True, "basis": ["1"], "order": None,
         "elimination": None, "dimension": 0, "coloring": None, "witness": witness,
+        **changes,
     }
     doc_path = tmp_path / "gb.json"
     doc_path.write_text(json.dumps(doc))
     code, verdict = run_json(capsys, "verify-gb", str(doc_path))
     assert code == 1 and verdict["valid"] is False
+
+
+def _first_key_as(mapping: dict, key: str) -> dict:
+    """mapping with its first key replaced by key, values and order kept."""
+    first = next(iter(mapping))
+    return {key if k == first else k: v for k, v in mapping.items()}
 
 
 def _swap_first_records(doc):
@@ -285,7 +303,16 @@ def _dimension_off_by_one(doc):
     doc["dimension"] += 1
 
 
-@pytest.mark.parametrize("forge", [_point_basis, _swap_first_records, _dimension_off_by_one])
+def _float_dimension(doc):
+    doc["dimension"] = float(doc["dimension"])
+
+
+def _signed_coloring_key(doc):
+    doc["coloring"] = _first_key_as(doc["coloring"], "+1")
+
+
+@pytest.mark.parametrize("forge", [_point_basis, _swap_first_records, _dimension_off_by_one,
+                                   _float_dimension, _signed_coloring_key])
 def test_verify_gb_rejects_forged_feasible_document(capsys, triangle, tmp_path, forge):
     code, doc = run_json(capsys, "gb", "--k", "3", "--p", "7", triangle)
     assert code == 0
@@ -347,12 +374,19 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
         ("verify-cert", lambda doc: {**doc, "graph": {**doc["graph"], "edges": [
             [u, float(v)] for u, v in doc["graph"]["edges"]]}}),
         ("verify-cert", lambda doc: {**doc, "field": {**doc["field"], "p": 7.0}}),
+        *[("verify-cert", lambda doc, key=key: {**doc, "edge_coefficients": _first_key_as(
+            doc["edge_coefficients"], key)}) for key in ["+1-2", " 01-2", "0_1-2", "\u0661-2"]],
+        ("verify-cert", lambda doc: {**doc, "vertex_coefficients": {"+1": "x1"}}),
+        ("verify-gb", lambda doc: {**doc, "order": {**doc["order"], "ranks": _first_key_as(
+            doc["order"]["ranks"], " 01")}}),
     ],
     ids=["gb-array", "gb-null-order", "gb-int-edge", "gb-null-field", "gb-int-poly",
          "gb-version", "cert-array", "cert-list-coefficients", "cert-k-zero",
          "cert-repeated-edge", "cert-version", "cert-version-string",
          "gb-float-k", "gb-float-rank", "gb-bool-edge-end", "cert-float-k", "cert-string-k",
-         "cert-float-n", "cert-float-edge-end", "cert-float-p"],
+         "cert-float-n", "cert-float-edge-end", "cert-float-p", "cert-signed-edge-key",
+         "cert-padded-edge-key", "cert-underscored-edge-key", "cert-arabic-indic-edge-key",
+         "cert-signed-vertex-key", "gb-padded-rank-key"],
 )
 def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
     source = ["gb", "--k", "4"] if verb == "verify-gb" else ["cert", "--k", "3", "--p", "7"]

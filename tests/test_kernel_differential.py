@@ -172,6 +172,6 @@ def test_gf2_kernel_matches_on_an_infeasible_certificate_system(d):
     constant row, the only one with a nonzero rhs, last, so it meets the
     contradiction only after reducing every other row."""
     system = assemble_system(cycle(7), 3, GF(2), d)
-    args = (len(system.row_monomials), system.col_rows, [system.rhs_row])
+    args = (len(system.row_monomials), system.col_rows, [0])
     assert solve_gf2(*args) is None
     assert full_solve_gf2(*args) is None
