@@ -21,7 +21,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .fields import PrimeField
@@ -38,7 +38,6 @@ from .ideals import (
     graph_to_json,
     json_int,
     mk_edge_poly,
-    mk_vertex_poly,
     quotient_reduce,
 )
 from .poly import Monomial, Polynomial, _add_terms, _raw, parse_poly, render
@@ -405,30 +404,39 @@ def search_certificate(
     return None
 
 
-def _edge_sum(cert: Certificate, edge_polys: Mapping[tuple[int, int], Polynomial]) -> Polynomial:
-    """sum_e beta_e g_e, accumulated in one term dict; ValueError for an edge not in edge_polys."""
-    field, mul, total = cert.field, cert.field.mul, {}
-    for e, beta in cert.edge_coeffs.items():
-        if e not in edge_polys:
-            raise ValueError(f"certificate names edge {e} not in the graph")
-        g = edge_polys[e].terms.items()
-        _add_terms(field, total, ((m * n, mul(b, c)) for m, b in beta.terms.items() for n, c in g))
+def _named(coeffs: Mapping, gens: Mapping, what: str) -> Iterator[tuple[Polynomial, Polynomial]]:
+    """(coefficient, generator) pairs of coeffs and gens matched by key;
+    ValueError for a key that gens lacks."""
+    for key, c in coeffs.items():
+        if key not in gens:
+            raise ValueError(f"certificate names {what} {key} not in the graph")
+        yield c, gens[key]
+
+
+def _combination(field, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """sum of c * g over the (c, g) pairs, accumulated in one term dict."""
+    mul, total = field.mul, {}
+    for c, g in pairs:
+        g_terms = g.terms.items()
+        _add_terms(field, total,
+                   ((m * n, mul(a, b)) for m, a in c.terms.items() for n, b in g_terms))
     return _raw(field, total)
 
 
 def verify_certificate(cert: Certificate, ideal: ColoringIdeal) -> bool:
     """True iff the coefficients combine the generators to the constant 1:
     in the quotient ring for edge-only certificates, in the full polynomial
-    ring when vertex coefficients are present."""
+    ring when vertex coefficients are present.  ValueError for an edge or
+    vertex the ideal's graph lacks."""
     if cert.field != ideal.field or cert.k != ideal.k:
         raise ValueError("certificate and ideal disagree on field or k")
     one = Polynomial.constant(cert.field, cert.field.one)
-    total = _edge_sum(cert, ideal.edge_polys)
+    pairs = _named(cert.edge_coeffs, ideal.edge_polys, "edge")
     if cert.vertex_coeffs is None:
-        return quotient_reduce(total, cert.k) == one
-    for v, gamma in cert.vertex_coeffs.items():
-        total = total + gamma * mk_vertex_poly(v, cert.k, cert.field)
-    return total == one
+        return quotient_reduce(_combination(cert.field, pairs), cert.k) == one
+    vertex_polys = dict(zip(ideal.graph.vertices, ideal.vertex_polys))
+    pairs = itertools.chain(pairs, _named(cert.vertex_coeffs, vertex_polys, "vertex"))
+    return _combination(cert.field, pairs) == one
 
 
 def _split_off_vertex_quotients(f: Polynomial, k: int) -> tuple[Polynomial, dict[int, dict]]:
@@ -455,7 +463,8 @@ def lift_certificate(cert: Certificate, g: Graph) -> Certificate:
     vertex-generator coefficients; raises InvalidCertificate when the input
     does not verify in the quotient ring."""
     field, k, neg = cert.field, cert.k, cert.field.neg
-    total = _edge_sum(cert, {(u, v): mk_edge_poly(u, v, k, field) for u, v in g.edges()})
+    total = _combination(field, _named(
+        cert.edge_coeffs, {(u, v): mk_edge_poly(u, v, k, field) for u, v in g.edges()}, "edge"))
     reduced, quotients = _split_off_vertex_quotients(total, k)
     if reduced != Polynomial.constant(field, field.one):
         raise InvalidCertificate("coefficients do not combine to 1 in the quotient ring")
@@ -517,8 +526,8 @@ def certificate_from_json_dict(data: Mapping) -> tuple[Certificate, Graph]:
         if (u, v) in edge_coeffs:
             raise ValueError(f"edge {u}-{v} is named twice")
         edge_coeffs[(u, v)] = parse_poly(text, field)
-    vertex_coeffs = data.get("vertex_coefficients")
+    vertex_coeffs = data["vertex_coefficients"]
     if vertex_coeffs is not None:
         vertex_coeffs = {_int_key(v): parse_poly(text, field) for v, text in vertex_coeffs.items()}
-    infeasible = tuple(data.get("infeasible_degrees", ()))
+    infeasible = tuple(data["infeasible_degrees"])
     return Certificate(field, k, edge_coeffs, vertex_coeffs, infeasible), g

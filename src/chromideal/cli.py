@@ -10,6 +10,7 @@ error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -116,18 +117,19 @@ def _record_to_json(rec: EliminationRecord) -> dict:
 
 
 # --- verbs -------------------------------------------------------------------
+# Each cmd_<verb> returns (document, answer); main prints the document and
+# exits 0 when the answer is true, 1 when it is false.
 
-def cmd_check_chordal(args) -> int:
+def cmd_check_chordal(args) -> tuple[dict, bool]:
     g = _load(args)
     peo = perfect_elimination_order(g)
-    _emit({
+    return {
         "version": JSON_VERSION,
         "kind": "chordality",
         "graph": graph_to_json(g),
         "chordal": peo is not None,
         "elimination": None if peo is None else [_record_to_json(r) for r in peo],
-    })
-    return EXIT_OK if peo is not None else EXIT_NEGATIVE
+    }, peo is not None
 
 
 def basis_result_to_json(result, g, k, field) -> dict:
@@ -160,68 +162,66 @@ def basis_result_to_json(result, g, k, field) -> dict:
     return payload
 
 
-def cmd_gb(args) -> int:
+def cmd_gb(args) -> tuple[dict, bool]:
     field = _field(args)
     g = _load(args)
     result = build_groebner_basis(g, args.k, field)
-    _emit(basis_result_to_json(result, g, args.k, field))
-    return EXIT_NEGATIVE if result is None or result.infeasible else EXIT_OK
+    return (basis_result_to_json(result, g, args.k, field),
+            result is not None and not result.infeasible)
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[dict, bool]:
     g = _load(args)
     try:
         n = count_colorings_chordal(g, args.k)
     except NotChordalError:
         n = None
-    _emit({"version": JSON_VERSION, "kind": "count", "chordal": n is not None,
-           "k": args.k, "colorings": n})
-    return EXIT_NEGATIVE if n is None else EXIT_OK
+    return {"version": JSON_VERSION, "kind": "count", "chordal": n is not None,
+            "k": args.k, "colorings": n}, n is not None
 
 
-def cmd_oracle_count(args) -> int:
+def cmd_oracle_count(args) -> tuple[dict, bool]:
     g = _load(args)
     n = brute_force_colorings(g, args.k)
-    _emit({"version": JSON_VERSION, "kind": "count", "method": "brute-force",
-           "k": args.k, "colorings": n})
-    return EXIT_OK
+    return {"version": JSON_VERSION, "kind": "count", "method": "brute-force",
+            "k": args.k, "colorings": n}, True
 
 
-def cmd_color(args) -> int:
+def cmd_color(args) -> tuple[dict, bool]:
     g = _load(args)
     peo = perfect_elimination_order(g)
     coloring = None if peo is None else extract_coloring(peo, args.k)
-    _emit({
+    return {
         "version": JSON_VERSION,
         "kind": "coloring",
         "k": args.k,
         "chordal": peo is not None,
         "coloring": None if coloring is None else {str(v): c for v, c in sorted(coloring.items())},
-    })
-    return EXIT_NEGATIVE if coloring is None else EXIT_OK
+    }, coloring is not None
 
 
-def cmd_cert(args) -> int:
+def cmd_cert(args) -> tuple[dict, bool]:
     field = _field(args)
     g = _load(args)
     cert = search_certificate(
         g, args.k, field, args.d_max, progress=lambda line: print(line, file=sys.stderr)
     )
     if cert is None:
-        _emit(certificate_search_to_json_dict(g, args.k, field, args.d_max))
-        return EXIT_NEGATIVE
+        return certificate_search_to_json_dict(g, args.k, field, args.d_max), False
     if args.lift:
         cert = lift_certificate(cert, g)
-    _emit(certificate_to_json_dict(cert, g))
-    return EXIT_OK
+    return certificate_to_json_dict(cert, g), True
 
 
-def _certificate_claim_holds(data: dict, cert) -> bool:
-    """True iff `degree` and `lifted_degree` are the integers the
-    coefficients have (`lifted_degree` null when unlifted) and
+def _verification(valid: bool) -> tuple[dict, bool]:
+    return {"version": JSON_VERSION, "kind": "verification", "valid": valid}, valid
+
+
+def _certificate_claim_holds(degree, lifted, cert) -> bool:
+    """True iff the claimed `degree` and `lifted_degree` are the integers
+    the coefficients have (`lifted_degree` null when unlifted) and
     `infeasible_degrees` are strictly increasing admissible degrees below
     `degree`."""
-    degree, lifted = data.get("degree"), data.get("lifted_degree")
     infeasible = list(cert.infeasible_degrees)
     return (type(degree) is int and degree == cert.degree
             and type(lifted) is type(cert.lifted_degree) and lifted == cert.lifted_degree
@@ -230,16 +230,15 @@ def _certificate_claim_holds(data: dict, cert) -> bool:
             and set(infeasible) <= set(admissible_degrees(cert.k, cert.degree - 1)))
 
 
-def cmd_verify_cert(args) -> int:
+def cmd_verify_cert(args) -> tuple[dict, bool]:
     data = _read_json_document(args.document)
     try:
         cert, g = certificate_from_json_dict(data)
+        degree, lifted = data["degree"], data["lifted_degree"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed certificate document: {exc}") from exc
-    ok = (verify_certificate(cert, build_ideal(g, cert.k, cert.field))
-          and _certificate_claim_holds(data, cert))
-    _emit({"version": JSON_VERSION, "kind": "verification", "valid": ok})
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return _verification(verify_certificate(cert, build_ideal(g, cert.k, cert.field))
+                         and _certificate_claim_holds(degree, lifted, cert))
 
 
 def _witness_is_large_clique(witness, g, k: int) -> bool:
@@ -282,7 +281,7 @@ def _feasible_claim_holds(data: dict, g, k: int, field, polys, order) -> bool:
             and data["dimension"] == count_along_order(peo, k))
 
 
-def cmd_verify_gb(args) -> int:
+def cmd_verify_gb(args) -> tuple[dict, bool]:
     data = _read_json_document(args.document)
     try:
         if data.get("kind") != "groebner_basis":
@@ -306,14 +305,13 @@ def cmd_verify_gb(args) -> int:
               and type(data.get("dimension")) is int and data["dimension"] == 0)
     else:
         ok = _feasible_claim_holds(data, g, k, field, polys, order)
-    ok = ok and buchberger_criterion(polys, order) and all(
-        normal_form(gen, polys, order)[1].is_zero for gen in build_ideal(g, k, field).generators())
-    _emit({"version": JSON_VERSION, "kind": "verification", "valid": ok})
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return _verification(ok and buchberger_criterion(polys, order) and all(
+        normal_form(gen, polys, order)[1].is_zero for gen in build_ideal(g, k, field).generators()))
 
 
 # --- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromideal",
@@ -322,50 +320,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_k=True, field_default=None):
+    def graph_verb(name, help, needs_k=True, field_default=None):
+        p = sub.add_parser(name, help=help)
         p.add_argument("graph", help="graph file (DIMACS .col or 'u v' edge list)")
         if needs_k:
             p.add_argument("--k", type=_colors, required=True, help="number of colors (>= 2)")
         if field_default is not None:
             p.add_argument("--p", default=field_default,
                            help="prime field modulus, or 'rational'")
+        return p
 
-    p = sub.add_parser("check-chordal", help="test chordality, print an elimination order")
-    common(p, needs_k=False)
-    p.set_defaults(func=cmd_check_chordal)
-
-    p = sub.add_parser("gb", help="Groebner basis of the coloring ideal (chordal graphs)")
-    common(p, field_default="rational")
-    p.set_defaults(func=cmd_gb)
-
-    p = sub.add_parser("count", help="number of proper k-colorings (chordal graphs)")
-    common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("color", help="extract one proper k-coloring (chordal graphs)")
-    common(p)
-    p.set_defaults(func=cmd_color)
-
-    p = sub.add_parser("cert", help="search a minimal-degree non-colorability certificate")
-    common(p)
+    graph_verb("check-chordal", "test chordality, print an elimination order", needs_k=False)
+    graph_verb("gb", "Groebner basis of the coloring ideal (chordal graphs)",
+               field_default="rational")
+    graph_verb("count", "number of proper k-colorings (chordal graphs)")
+    graph_verb("color", "extract one proper k-coloring (chordal graphs)")
+    p = graph_verb("cert", "search a minimal-degree non-colorability certificate")
     p.add_argument("--p", required=True, help="prime field modulus")
     p.add_argument("--d-max", type=int, default=None,
                    help="degree search bound (default 3k+1)")
     p.add_argument("--lift", action="store_true",
                    help="also emit vertex coefficients for the full-ring identity")
-    p.set_defaults(func=cmd_cert)
-
-    p = sub.add_parser("verify-cert", help="check a certificate JSON document")
-    p.add_argument("document", help="certificate JSON file, or - for stdin")
-    p.set_defaults(func=cmd_verify_cert)
-
-    p = sub.add_parser("verify-gb", help="check a Groebner-basis JSON document")
-    p.add_argument("document", help="basis JSON file, or - for stdin")
-    p.set_defaults(func=cmd_verify_gb)
-
-    p = sub.add_parser("oracle-count", help="brute-force coloring count (any graph)")
-    common(p)
-    p.set_defaults(func=cmd_oracle_count)
+    sub.add_parser("verify-cert", help="check a certificate JSON document").add_argument(
+        "document", help="certificate JSON file, or - for stdin")
+    sub.add_parser("verify-gb", help="check a Groebner-basis JSON document").add_argument(
+        "document", help="basis JSON file, or - for stdin")
+    graph_verb("oracle-count", "brute-force coloring count (any graph)")
 
     return parser
 
@@ -375,13 +355,15 @@ def main(argv=None) -> int:
     # limit on int <-> str conversion, which json.dumps and json.load obey
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # looked up per call, so a wrapper set on a cmd_* after import runs
+        document, answer = globals()["cmd_" + args.verb.replace("-", "_")](args)
+        _emit(document)
+        return EXIT_OK if answer else EXIT_NEGATIVE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -338,6 +340,15 @@ def test_verify_rejects_mismatched_ideal():
         verify_certificate(cert, build_ideal(Graph(4, [(1, 2)]), 3, F2))
     with pytest.raises(ValueError, match="not in the graph"):
         lift_certificate(cert, Graph(4, [(1, 2)]))
+
+
+@pytest.mark.parametrize("v", [0, 5])
+def test_verify_rejects_a_vertex_outside_the_graph(v):
+    g = complete_graph(4)
+    lifted = lift_certificate(search_certificate(g, 3, F5), g)
+    extra = replace(lifted, vertex_coeffs={**lifted.vertex_coeffs, v: Polynomial.zero(F5)})
+    with pytest.raises(ValueError, match=f"vertex {v} not in the graph"):
+        verify_certificate(extra, build_ideal(g, 3, F5))
 
 
 # --- lifting ------------------------------------------------------------------------

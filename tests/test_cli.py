@@ -1,7 +1,10 @@
+import argparse
+import hashlib
 import json
 
 import pytest
 
+import chromideal.cli
 from chromideal.chordal import count_along_order
 from chromideal.cli import main
 from chromideal.graphs import Graph, perfect_elimination_order, random_chordal
@@ -379,6 +382,12 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
         ("verify-cert", lambda doc: {**doc, "vertex_coefficients": {"+1": "x1"}}),
         ("verify-gb", lambda doc: {**doc, "order": {**doc["order"], "ranks": _first_key_as(
             doc["order"]["ranks"], " 01")}}),
+        *[("verify-cert", lambda doc, key=key: {k: v for k, v in doc.items() if k != key})
+          for key in ["degree", "lifted_degree", "vertex_coefficients", "infeasible_degrees"]],
+        ("verify-cert-lifted", lambda doc: {**doc, "vertex_coefficients": {
+            **doc["vertex_coefficients"], "99": "0"}}),
+        *[("verify-cert-lifted", lambda doc, key=key: {k: v for k, v in doc.items() if k != key})
+          for key in ["degree", "lifted_degree", "vertex_coefficients", "infeasible_degrees"]],
     ],
     ids=["gb-array", "gb-null-order", "gb-int-edge", "gb-null-field", "gb-int-poly",
          "gb-version", "cert-array", "cert-list-coefficients", "cert-k-zero",
@@ -386,15 +395,23 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
          "gb-float-k", "gb-float-rank", "gb-bool-edge-end", "cert-float-k", "cert-string-k",
          "cert-float-n", "cert-float-edge-end", "cert-float-p", "cert-signed-edge-key",
          "cert-padded-edge-key", "cert-underscored-edge-key", "cert-arabic-indic-edge-key",
-         "cert-signed-vertex-key", "gb-padded-rank-key"],
+         "cert-signed-vertex-key", "gb-padded-rank-key",
+         "cert-no-degree", "cert-no-lifted-degree", "cert-no-vertex-coefficients",
+         "cert-no-infeasible-degrees", "lifted-cert-vertex-out-of-range",
+         "lifted-cert-no-degree", "lifted-cert-no-lifted-degree",
+         "lifted-cert-no-vertex-coefficients", "lifted-cert-no-infeasible-degrees"],
 )
 def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
-    source = ["gb", "--k", "4"] if verb == "verify-gb" else ["cert", "--k", "3", "--p", "7"]
+    """The gb document is K_4 at k = 4; the cert documents are K_4 at k = 3,
+    over GF(7) plain and over GF(5) lifted (degree 4, infeasible_degrees [1])."""
+    source = {"verify-gb": ["gb", "--k", "4"],
+              "verify-cert": ["cert", "--k", "3", "--p", "7"],
+              "verify-cert-lifted": ["cert", "--k", "3", "--p", "5", "--lift"]}[verb]
     code, doc = run_json(capsys, *source, k4)
     assert code == 0
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(malform(doc)))
-    code = main([verb, str(doc_path)])
+    code = main([verb.removesuffix("-lifted"), str(doc_path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -458,6 +475,141 @@ def test_edge_list_input(capsys, tmp_path):
     path.write_text("1 2\n2 3\n1 3\n")
     code, doc = run_json(capsys, "count", "--k", "3", str(path))
     assert code == 0 and doc["colorings"] == 6
+
+
+def pinned_cells(capsys, tmp_path, triangle, c4, k4) -> dict:
+    """(exit code, sha256 of stdout) of each cell, by cell name; each
+    verifier cell reads the document the cell before it printed."""
+    cells = {}
+
+    def cell(name, *argv):
+        code, out = run(capsys, *argv)
+        cells[name] = (code, hashlib.sha256(out.encode()).hexdigest())
+        return out
+
+    def verified(verb, name, *argv):
+        doc = tmp_path / "doc.json"
+        doc.write_text(cell(name, *argv))
+        cell(f"{verb} < {name}", verb, str(doc))
+
+    for graph, path in (("triangle", triangle), ("C_4", c4)):
+        cell(f"check-chordal {graph}", "check-chordal", path)
+        verified("verify-gb", f"gb {graph}", "gb", "--k", "3", path)
+        verified("verify-gb", f"gb --p 7 {graph}", "gb", "--k", "3", "--p", "7", path)
+        for verb in ("count", "color", "oracle-count"):
+            cell(f"{verb} {graph}", verb, "--k", "3", path)
+    verified("verify-cert", "cert --p 2 K_4", "cert", "--k", "3", "--p", "2", k4)
+    verified("verify-cert", "cert --p 5 --lift K_4", "cert", "--k", "3", "--p", "5", "--lift", k4)
+    return cells
+
+
+# Exit code and sha256 of stdout, in-process, with k = 3 throughout, recorded
+# before the verbs returned (document, answer) to main.  A change to any
+# document's layout or content has to edit this table.
+PINNED_STDOUT = {
+    "check-chordal triangle":
+        (0, "6e91a910b702e8ba32d61eacfefcd26f238d132854cf2c3b7f89dd3ec4fe7487"),
+    "gb triangle":
+        (0, "2ea49b239f9d59d7bec50fa490522f44f2e60daad59f041e16d684c16d5e6774"),
+    "verify-gb < gb triangle":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
+    "gb --p 7 triangle":
+        (0, "f467475f0ab64028755d85fc0235d9c1219483bfdf3c3f8e048874ec96de604e"),
+    "verify-gb < gb --p 7 triangle":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
+    "count triangle":
+        (0, "5d5921ae15947982615ebdba1ac2dba35b9fea6d91c9e013324b15bf12a3f097"),
+    "color triangle":
+        (0, "f9befa3a8678d6f239a9a223e3b3cb6609bf1df0d20c538c9d4f0114ba230803"),
+    "oracle-count triangle":
+        (0, "f2b1a4cda348dac920530a2acee5e4704d6388ce96a377e5283b6927d85b5908"),
+    "check-chordal C_4":
+        (1, "4e1f9ea9e3da2d73cefb209c5d8c888753075222117357430397b6a3007fa1df"),
+    "gb C_4":
+        (1, "fcfd43b63968f2c0363bed6d47c824757c975407d24f1fb4b1903c42639a6e78"),
+    "verify-gb < gb C_4":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gb --p 7 C_4":
+        (1, "b39e363d7d5d6f8f9e55d8e13208cb5b0517bfc5e62abacff8c2393221094b50"),
+    "verify-gb < gb --p 7 C_4":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "count C_4":
+        (1, "d06d40e67397b86548705e4462baa5b27518112ea72166026e447bbc8ab0ffa9"),
+    "color C_4":
+        (1, "062fdd14fe7048c06dbd45133c7150a97db02317ccf2701742bc390cb5d6974f"),
+    "oracle-count C_4":
+        (0, "db6129a172d5c0ad9ec8d16a71f7d8bd9fe873d8b14b7eafc50fbdfd81efb4d5"),
+    "cert --p 2 K_4":
+        (0, "1ec0862272b036b0c9cb73448908c0098f99ca7e36982b9026f6a31e7059cb20"),
+    "verify-cert < cert --p 2 K_4":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
+    "cert --p 5 --lift K_4":
+        (0, "58bdf0ef05f8a63ee085e3102f0746aca9db36dad1b99f3c0c7497980e7beeb1"),
+    "verify-cert < cert --p 5 --lift K_4":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
+}
+
+
+def test_stdout_bytes_and_exit_codes_are_pinned(capsys, tmp_path, triangle, c4, k4):
+    assert pinned_cells(capsys, tmp_path, triangle, c4, k4) == PINNED_STDOUT
+
+
+def test_main_runs_the_verb_function_it_finds_at_call_time(capsys, triangle, monkeypatch):
+    calls = []
+    original = chromideal.cli.cmd_count
+
+    def wrapper(args):
+        calls.append(args.verb)
+        return original(args)
+
+    monkeypatch.setattr(chromideal.cli, "cmd_count", wrapper)
+    code, doc = run_json(capsys, "count", "--k", "3", triangle)
+    assert code == 0 and doc["colorings"] == 6
+    assert calls == ["count"]
+
+
+def subparser_names(parser: argparse.ArgumentParser) -> set[str]:
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(verbs.choices)
+
+
+def test_every_verb_has_one_cmd_function():
+    commands = {name[len("cmd_"):].replace("_", "-")
+                for name in vars(chromideal.cli) if name.startswith("cmd_")}
+    assert subparser_names(chromideal.cli.build_parser()) == commands
+
+
+def test_two_main_calls_build_one_parser_tree(capsys, triangle, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    chromideal.cli.build_parser.cache_clear()
+    assert main(["count", "--k", "3", triangle]) == 0
+    assert len(built) == 1 + len(subparser_names(built[0]))
+    assert main(["color", "--k", "3", triangle]) == 0
+    assert len(built) == 1 + len(subparser_names(built[0]))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error,code,message",
+    [(MemoryError, 3, "computation error: out of memory"), (ValueError, 2, "error: ")],
+    ids=["memory-error", "value-error"],
+)
+def test_errors_while_printing_keep_their_exit_code(capsys, triangle, monkeypatch, error, code,
+                                                    message):
+    def failing(document):
+        raise error
+
+    monkeypatch.setattr(chromideal.cli, "_emit", failing)
+    assert main(["count", "--k", "3", triangle]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
 
 
 def test_json_output_is_byte_identical_across_runs(capsys, k4):
