@@ -59,7 +59,7 @@ from .oracle import (
     brute_force_colorings,
     buchberger_criterion,
 )
-from .poly import TermOrder, normal_form, parse_poly, render
+from .poly import Divisors, TermOrder, normal_form, parse_poly, render
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -132,16 +132,21 @@ def cmd_check_chordal(args) -> tuple[dict, bool]:
     }, peo is not None
 
 
+# Every key of a groebner_basis document; gb writes all of them (null when
+# they do not apply) and verify-gb requires all of them.
+GB_KEYS = ("version", "kind", "field", "k", "graph", "chordal", "infeasible", "basis",
+           "order", "elimination", "dimension", "coloring", "witness")
+
+
 def basis_result_to_json(result, g, k, field) -> dict:
     payload = {
+        **dict.fromkeys(GB_KEYS),
         "version": JSON_VERSION,
         "kind": "groebner_basis",
         "field": field_to_json(field),
         "k": k,
         "graph": graph_to_json(g),
         "chordal": result is not None,
-        "infeasible": None, "basis": None, "order": None, "elimination": None,
-        "dimension": None, "coloring": None, "witness": None,
     }
     if result is None:
         return payload
@@ -277,36 +282,43 @@ def _feasible_claim_holds(data: dict, g, k: int, field, polys, order) -> bool:
             and all(g.has_edge(u, w) for rec in peo for u, w in itertools.combinations(rec.clique, 2))
             and order == elimination_term_order(peo)
             and polys == [basis_polynomial(rec, k, field) for rec in peo]
-            and type(data.get("dimension")) is int
+            and type(data["dimension"]) is int
             and data["dimension"] == count_along_order(peo, k))
 
 
 def cmd_verify_gb(args) -> tuple[dict, bool]:
     data = _read_json_document(args.document)
     try:
-        if data.get("kind") != "groebner_basis":
+        missing = [key for key in GB_KEYS if key not in data]
+        if missing:
+            raise KeyError(f"missing {', '.join(missing)}")
+        if data["kind"] != "groebner_basis":
             raise ValueError("not a groebner_basis document")
         check_json_version(data)
         field = field_from_json(data["field"])
         k = json_int(data["k"])
         g = graph_from_json(data["graph"])
-        if not data.get("chordal"):
+        if not data["chordal"]:
             raise ValueError("document carries no basis (graph was not chordal)")
         polys = [parse_poly(s, field) for s in data["basis"]]
-        if data.get("infeasible"):
+        if data["infeasible"]:
             order = TermOrder.natural(g.vertices or (1,), "lex")
         else:
             ranks = {_int_key(v): json_int(r) for v, r in data["order"]["ranks"].items()}
             order = TermOrder(data["order"]["kind"], ranks)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed basis document: {exc}") from exc
-    if data.get("infeasible"):
-        ok = (_witness_is_large_clique(data.get("witness"), g, k) and data.get("coloring") is None
-              and type(data.get("dimension")) is int and data["dimension"] == 0)
+    if data["infeasible"]:
+        ok = (_witness_is_large_clique(data["witness"], g, k) and data["coloring"] is None
+              and type(data["dimension"]) is int and data["dimension"] == 0)
     else:
         ok = _feasible_claim_holds(data, g, k, field, polys, order)
-    return _verification(ok and buchberger_criterion(polys, order) and all(
-        normal_form(gen, polys, order)[1].is_zero for gen in build_ideal(g, k, field).generators()))
+    if not ok:
+        return _verification(False)
+    divisors = Divisors(polys, order)
+    return _verification(buchberger_criterion(divisors, order) and all(
+        normal_form(gen, divisors, order)[1].is_zero
+        for gen in build_ideal(g, k, field).generators()))
 
 
 # --- parser ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .chordal import GroebnerBasis
 from .graphs import Graph
-from .poly import Polynomial, TermOrder, normal_form, s_polynomial
+from .poly import Divisors, Polynomial, TermOrder, normal_form, s_polynomial
 
 
 class OracleTooLarge(RuntimeError):
@@ -62,8 +62,11 @@ def buchberger_criterion(
     """True iff every pairwise S-polynomial reduces to zero modulo the list.
 
     Pairs with relatively prime leading monomials reduce to zero
-    automatically and may be skipped; the full check must agree.
+    automatically and may be skipped; the full check must agree.  The list
+    is indexed for division once (a Divisors under `order` is used as is),
+    and every reduction divides by that one index.
     """
+    polys = Divisors(polys, order)
     heads = [p.leading_monomial(order) for p in polys]
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):

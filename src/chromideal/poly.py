@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from collections.abc import Iterable, Mapping, Sequence
@@ -66,19 +67,45 @@ class Monomial:
 
     def divide(self, other: "Monomial") -> "Monomial":
         """Exact quotient self / other; raises if not divisible."""
-        d = dict(self.exps)
-        for v, e in other.exps:
-            r = d.get(v, 0) - e
-            if r < 0:
-                raise ValueError(f"{other} does not divide {self}")
-            d[v] = r
-        return Monomial(d)
+        b = other.exps
+        nb = len(b)
+        out = []
+        j = 0
+        for v, e in self.exps:
+            if j < nb and b[j][0] <= v:
+                vb, eb = b[j]
+                if vb < v or eb > e:
+                    break
+                j += 1
+                e -= eb
+                if not e:
+                    continue
+            out.append((v, e))
+        else:
+            if j == nb:
+                return _monomial(tuple(out))
+        raise ValueError(f"{other} does not divide {self}")
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = max(d.get(v, 0), e)
-        return Monomial(d)
+        a, b = self.exps, other.exps
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            va, vb = a[i][0], b[j][0]
+            if va < vb:
+                out.append(a[i])
+                i += 1
+            elif vb < va:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append(a[i] if a[i][1] >= b[j][1] else b[j])
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return _monomial(tuple(out))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and other.exps == self.exps
@@ -336,6 +363,65 @@ def _add_terms(field, acc: dict, terms) -> dict:
     return acc
 
 
+class Divisors(tuple):
+    """The divisors of a multivariate division, indexed once under one term
+    order so that many divisions by them share the set-up.
+
+    A tuple of the polynomials in the order given, which is the order the
+    division tries them in.  Built under `order`, it holds for divisor i:
+    heads[i], the exps of its leading monomial; and tails[i], the pair of
+    the inverse of its leading coefficient and its other terms as (exps,
+    negated coefficient) pairs, so that one reduction step costs one
+    multiplication for the quotient coefficient and one per tail term.
+    `by_var` maps a variable to the divisors whose head exps start with it,
+    ascending; `first_constant` is the first divisor with a constant head
+    (len(self) if none); `key` is the order's heap key on exps tuples.
+    `integral` is true over QQ when every coefficient is an integer and
+    every head coefficient is 1 or -1; the stored coefficients are then
+    ints, so that a division can run over ZZ.
+
+    Divisors(d, order) returns d itself when d is a Divisors built under
+    this very order object, so callers may pass either a Divisors or a
+    sequence of polynomials.  Raises ZeroPolynomialError for a zero divisor,
+    FieldMismatchError when the divisors' fields differ, and ValueError when
+    the order does not rank a divisor's variable.
+    """
+
+    def __new__(cls, polys: Iterable[Polynomial], order: TermOrder):
+        if type(polys) is cls and polys.order is order:
+            return polys
+        self = super().__new__(cls, polys)
+        field = self[0].field if self else None
+        leading = []
+        for g in self:
+            if g.is_zero:
+                raise ZeroPolynomialError("zero polynomial in division basis")
+            if g.field != field:
+                raise FieldMismatchError(f"{field} vs {g.field}")
+            leading.append(g.leading_term(order))
+        integral = (field is not None and field.char == 0
+                    and all(gc in (1, -1) for _, gc in leading)
+                    and all(c.denominator == 1 for g in self for c in g.terms.values()))
+        if integral:
+            # 1 and -1 are their own inverses
+            inv, neg = int, (lambda c: -c.numerator)
+        elif field is not None:
+            inv, neg = field.inv, field.neg
+        self.order, self.field, self.integral = order, field, integral
+        self.key = _heap_key(order)
+        self.heads, self.tails, self.by_var = [], [], {}
+        self.first_constant = len(self)
+        for i, (g, (gm, gc)) in enumerate(zip(self, leading)):
+            self.heads.append(gm.exps)
+            self.tails.append((inv(gc), tuple(
+                [(m.exps, neg(c)) for m, c in g.terms.items() if m is not gm])))
+            if gm.exps:
+                self.by_var.setdefault(gm.exps[0][0], []).append(i)
+            elif self.first_constant == len(self):
+                self.first_constant = i
+        return self
+
+
 def normal_form(
     f: Polynomial, basis: Sequence[Polynomial], order: TermOrder
 ) -> tuple[list[Polynomial], Polynomial]:
@@ -346,40 +432,46 @@ def normal_form(
     the order-largest reducible term is processed first and divisors are
     tried in list order.
 
+    `basis` is used as given when it is a Divisors built under this `order`
+    object; otherwise one is built for this call.  Callers that divide many
+    polynomials by one basis build the Divisors once and pass it each time.
+
     Each term's order key is computed when the term enters the work list,
     and a heap of keys yields the largest term (Monagan & Pearce, CASC
     2007).  A term cancelled while queued stays in the heap and is skipped
     when popped; a term queued twice is processed at its first pop.  No
     popped term comes back: every term a reduction adds is smaller than the
-    term it reduces.  Divisors are indexed by the first variable of their
-    leading monomial, so a term is tested only against the heads that share
-    a variable with it.  The work list is keyed by exps tuples; Monomials
-    are built only for the terms returned.
+    term it reduces.  A term is tested only against the divisors whose head
+    starts with one of its variables.  The work list is keyed by exps
+    tuples.  Each step records (divisor, quotient exps, coefficient);
+    Monomials and the quotient polynomials are built at the end, and every
+    unused divisor's quotient is one shared zero polynomial.
+
+    Over QQ, when the Divisors are integral (see Divisors) and every
+    coefficient of f is an integer, the division runs on ints: a head
+    coefficient of 1 or -1 never takes a quotient coefficient out of ZZ.
+    The returned coefficients are converted back to Fractions, so results
+    are the same as over QQ.
     """
     fld = f.field
-    heads = []
+    divisors = Divisors(basis, order)
+    if divisors and divisors.field != fld:
+        raise FieldMismatchError(f"{fld} vs {divisors.field}")
+    over_zz = divisors.integral and all(c.denominator == 1 for c in f.terms.values())
+    if over_zz:
+        mul, add, is_zero = operator.mul, operator.add, operator.not_
+        work = {m.exps: c.numerator for m, c in f.terms.items()}
+    else:
+        mul, add, is_zero = fld.mul, fld.add, fld.is_zero
+        work = {m.exps: c for m, c in f.terms.items()}
+    key, heads, tails, by_var = divisors.key, divisors.heads, divisors.tails, divisors.by_var
     # A constant head divides every term, so no later divisor is ever tried.
-    no_divisor = len(basis)
-    first_constant = no_divisor
-    by_var: dict[int, list[int]] = {}
-    for i, g in enumerate(basis):
-        if g.is_zero:
-            raise ZeroPolynomialError("zero polynomial in division basis")
-        if g.field != fld:
-            raise FieldMismatchError(f"{fld} vs {g.field}")
-        gm, gc = g.leading_term(order)
-        heads.append((gm, gm.exps, gc))
-        if gm.exps:
-            by_var.setdefault(gm.exps[0][0], []).append(i)
-        elif first_constant == no_divisor:
-            first_constant = i
-    key = _heap_key(order)
-    work = {m.exps: c for m, c in f.terms.items()}
+    no_divisor = len(divisors)
+    first_constant = divisors.first_constant
     heap = [(key(t), t) for t in work]
     heapq.heapify(heap)
-    quots: list[list[tuple[Monomial, object]]] = [[] for _ in basis]
-    rem: dict[Monomial, object] = {}
-    div, neg, mul, add, is_zero = fld.div, fld.neg, fld.mul, fld.add, fld.is_zero
+    steps = []
+    rem = {}
     pop, push, get = heapq.heappop, heapq.heappush, work.get
     while heap:
         lt = pop(heap)[1]
@@ -392,28 +484,25 @@ def normal_form(
             for j in by_var.get(v, ()):
                 if j >= i:
                     break
-                for hv, he in heads[j][1]:
+                for hv, he in heads[j]:
                     if exps.get(hv, 0) < he:
                         break
                 else:
                     i = j
                     break
         if i == no_divisor:
-            rem[_monomial(lt)] = lc
+            rem[lt] = lc
             continue
-        gm, g_exps, gc = heads[i]
-        for hv, he in g_exps:
+        for hv, he in heads[i]:
             exps[hv] -= he
         q = tuple([item for item in exps.items() if item[1]])
-        qc = div(lc, gc)
-        quots[i].append((_monomial(q), qc))
-        neg_qc = neg(qc)
+        inv_gc, tail = tails[i]
+        qc = mul(lc, inv_gc)
+        steps.append((i, q, qc))
         # The head's own product is lt, whose coefficient cancels exactly.
-        for m2, c2 in basis[i].terms.items():
-            if m2 is gm:
-                continue
-            t = _merge_exps(q, m2.exps)
-            c = mul(neg_qc, c2)
+        for t2, c2 in tail:
+            t = _merge_exps(q, t2)
+            c = mul(qc, c2)
             prev = get(t)
             if prev is None:
                 work[t] = c
@@ -424,7 +513,15 @@ def normal_form(
                     del work[t]
                 else:
                     work[t] = c
-    return [_raw(fld, dict(q)) for q in quots], _raw(fld, rem)
+    # Over ZZ, back to QQ's canonical Fractions (render tests for Fraction).
+    out = Fraction if over_zz else (lambda c: c)
+    used: dict[int, dict] = {}
+    for i, q, qc in steps:
+        used.setdefault(i, {})[_monomial(q)] = out(qc)
+    quots = [_raw(fld, {})] * no_divisor
+    for i, terms in used.items():
+        quots[i] = _raw(fld, terms)
+    return quots, _raw(fld, {_monomial(t): out(c) for t, c in rem.items()})
 
 
 _KEY_END = (math.inf,)
@@ -490,21 +587,51 @@ def _merge_exps(a: tuple, b: tuple) -> tuple:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    """lcm(LM f, LM g)/LT(f) * f - lcm/LT(g) * g."""
+    """lcm(LM f, LM g)/LT(f) * f - lcm/LT(g) * g.
+
+    Built on exps tuples: the cofactors lcm/LM f and lcm/LM g come from one
+    merge of the two heads, the head terms (which cancel exactly) are
+    skipped, and the two tails' products go into one term dict."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("S-polynomial of the zero polynomial")
+    fld = f.field
+    f._check_field(g)
     fm, fc = f.leading_term(order)
     gm, gc = g.leading_term(order)
-    lcm = fm.lcm(gm)
-    fld = f.field
-    left = _mono_mul(f, lcm.divide(fm), fld.inv(fc))
-    right = _mono_mul(g, lcm.divide(gm), fld.inv(gc))
-    return left - right
+    fq, gq = _cofactor_exps(fm.exps, gm.exps)
+    mul = fld.mul
+    a, b = fld.inv(fc), fld.neg(fld.inv(gc))
+    terms = {_monomial(_merge_exps(fq, m.exps)): mul(c, a)
+             for m, c in f.terms.items() if m is not fm}
+    return _raw(fld, _add_terms(fld, terms, ((_monomial(_merge_exps(gq, m.exps)), mul(c, b))
+                                             for m, c in g.terms.items() if m is not gm)))
 
 
-def _mono_mul(f: Polynomial, m: Monomial, c) -> Polynomial:
-    fld = f.field
-    return _raw(fld, {tm * m: fld.mul(tc, c) for tm, tc in f.terms.items()})
+def _cofactor_exps(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """The exps tuples of lcm/A and lcm/B, where a and b are the exps tuples
+    of monomials A and B and lcm is their least common multiple."""
+    ca, cb = [], []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            cb.append(a[i])
+            i += 1
+        elif vb < va:
+            ca.append(b[j])
+            j += 1
+        else:
+            if ea < eb:
+                ca.append((va, eb - ea))
+            elif eb < ea:
+                cb.append((va, ea - eb))
+            i += 1
+            j += 1
+    cb.extend(a[i:])
+    ca.extend(b[j:])
+    return tuple(ca), tuple(cb)
 
 
 def elementary_symmetric(d: int, values: Sequence, field):

@@ -1,22 +1,42 @@
-"""Dict-built products: a test-only oracle.
+"""Dict-built monomial arithmetic: a test-only oracle.
 
-This is chromideal.poly.Monomial.__mul__ before it multiplied by merging the
-two variable-sorted exps tuples: it adds the exponents in a dict and builds
-the product through the validating, sorting Monomial constructor.  The
-polynomial product here multiplies term by term through it, so the
-differential tests can check that the production products return equal
-monomials and equal polynomials.
+These are chromideal.poly's monomial product, quotient and lcm before they
+worked on the variable-sorted exps tuples directly: each adds, subtracts or
+maximizes the exponents in a dict and builds its result through the
+validating, sorting Monomial constructor.  The polynomial product here
+multiplies term by term through the dict product, and the S-polynomial is
+the old construction of two scaled polynomials subtracted through
+__sub__/__neg__, so the differential tests can check that the production
+code returns equal monomials and equal polynomials.
 """
 
 from __future__ import annotations
 
-from chromideal.poly import Monomial, Polynomial
+from chromideal.poly import Monomial, Polynomial, TermOrder
 
 
 def dict_monomial_product(a: Monomial, b: Monomial) -> Monomial:
     d = dict(a.exps)
     for v, e in b.exps:
         d[v] = d.get(v, 0) + e
+    return Monomial(d)
+
+
+def dict_monomial_divide(a: Monomial, b: Monomial) -> Monomial:
+    """Exact quotient a / b; raises ValueError if b does not divide a."""
+    d = dict(a.exps)
+    for v, e in b.exps:
+        r = d.get(v, 0) - e
+        if r < 0:
+            raise ValueError(f"{b} does not divide {a}")
+        d[v] = r
+    return Monomial(d)
+
+
+def dict_monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
+    d = dict(a.exps)
+    for v, e in b.exps:
+        d[v] = max(d.get(v, 0), e)
     return Monomial(d)
 
 
@@ -29,3 +49,19 @@ def term_by_term_product(f: Polynomial, g: Polynomial) -> Polynomial:
             m = dict_monomial_product(m1, m2)
             terms[m] = fld.add(terms.get(m, fld.zero), fld.mul(c1, c2))
     return Polynomial(fld, terms)
+
+
+def subtracted_s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
+    """lcm(LM f, LM g)/LT(f) * f - lcm/LT(g) * g, with every product and the
+    difference computed in full (the head terms cancel in the subtraction)."""
+    fm, fc = f.leading_term(order)
+    gm, gc = g.leading_term(order)
+    lcm = dict_monomial_lcm(fm, gm)
+    fld = f.field
+
+    def scaled(p, m, c):
+        return Polynomial(fld, {dict_monomial_product(tm, m): fld.mul(tc, c)
+                                for tm, tc in p.terms.items()})
+
+    return (scaled(f, dict_monomial_divide(lcm, fm), fld.inv(fc))
+            - scaled(g, dict_monomial_divide(lcm, gm), fld.inv(gc)))

@@ -2,11 +2,13 @@
 
 This is chromideal.poly.normal_form before it learned to compute a term's
 order key only when the term enters the work list and keep the terms in a
-heap, to index the divisors' leading terms by variable, and to build
-monomials by merging exps tuples.  Every step it scans the whole work list for its largest term and
-tries every divisor's leading monomial in list order, so the differential
-tests can check that the production division returns equal quotients and an
-equal remainder, not just a valid division.
+heap, to index the divisors' leading terms by variable once per basis, to
+build monomials by merging exps tuples, to build the quotients at the end
+and to divide over ZZ.  It accepts any sequence of divisors, a Divisors
+tuple included.  Every step it scans the whole work list for its largest
+term and tries every divisor's leading monomial in list order, so the
+differential tests can check that the production division returns equal
+quotients and an equal remainder, not just a valid division.
 """
 
 from __future__ import annotations

@@ -344,6 +344,11 @@ def test_exact_counts_beyond_the_int_string_limit(capsys, tmp_path, verb, field)
     assert code == 0 and doc[field] == expected
 
 
+# Every key gb writes into a groebner_basis document.
+GB_KEYS = ("version", "kind", "field", "k", "graph", "chordal", "infeasible", "basis",
+           "order", "elimination", "dimension", "coloring", "witness")
+
+
 def _name_first_edge_twice(coefficients: dict) -> dict:
     key, text = next(iter(coefficients.items()))
     u, v = key.split("-")
@@ -388,6 +393,9 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
             **doc["vertex_coefficients"], "99": "0"}}),
         *[("verify-cert-lifted", lambda doc, key=key: {k: v for k, v in doc.items() if k != key})
           for key in ["degree", "lifted_degree", "vertex_coefficients", "infeasible_degrees"]],
+        *[(verb, lambda doc, keys=keys: {k: v for k, v in doc.items() if k not in keys})
+          for verb in ["verify-gb", "verify-gb-infeasible"]
+          for keys in [*[(key,) for key in GB_KEYS], ("order", "elimination", "coloring")]],
     ],
     ids=["gb-array", "gb-null-order", "gb-int-edge", "gb-null-field", "gb-int-poly",
          "gb-version", "cert-array", "cert-list-coefficients", "cert-k-zero",
@@ -399,19 +407,26 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
          "cert-no-degree", "cert-no-lifted-degree", "cert-no-vertex-coefficients",
          "cert-no-infeasible-degrees", "lifted-cert-vertex-out-of-range",
          "lifted-cert-no-degree", "lifted-cert-no-lifted-degree",
-         "lifted-cert-no-vertex-coefficients", "lifted-cert-no-infeasible-degrees"],
+         "lifted-cert-no-vertex-coefficients", "lifted-cert-no-infeasible-degrees",
+         *[f"{name}-no-{'-'.join(keys)}"
+           for name in ["gb", "infeasible-gb"]
+           for keys in [*[(key,) for key in GB_KEYS], ("order", "elimination", "coloring")]]],
 )
 def test_malformed_documents_exit_2(capsys, k4, tmp_path, verb, malform):
-    """The gb document is K_4 at k = 4; the cert documents are K_4 at k = 3,
-    over GF(7) plain and over GF(5) lifted (degree 4, infeasible_degrees [1])."""
-    source = {"verify-gb": ["gb", "--k", "4"],
-              "verify-cert": ["cert", "--k", "3", "--p", "7"],
-              "verify-cert-lifted": ["cert", "--k", "3", "--p", "5", "--lift"]}[verb]
+    """The gb documents are K_4 at k = 4 and its infeasible one at k = 3; the
+    cert documents are K_4 at k = 3, over GF(7) plain and over GF(5) lifted
+    (degree 4, infeasible_degrees [1])."""
+    checker, source, source_code = {
+        "verify-gb": ("verify-gb", ["gb", "--k", "4"], 0),
+        "verify-gb-infeasible": ("verify-gb", ["gb", "--k", "3"], 1),
+        "verify-cert": ("verify-cert", ["cert", "--k", "3", "--p", "7"], 0),
+        "verify-cert-lifted": ("verify-cert", ["cert", "--k", "3", "--p", "5", "--lift"], 0),
+    }[verb]
     code, doc = run_json(capsys, *source, k4)
-    assert code == 0
+    assert code == source_code
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(malform(doc)))
-    code = main([verb.removesuffix("-lifted"), str(doc_path)])
+    code = main([checker, str(doc_path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -632,6 +647,31 @@ def test_module_entry_point(k4):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["colorings"] == 24
+
+
+@pytest.mark.parametrize("p", ["rational", "7"])
+def test_gb_and_verify_gb_stdout_ignore_the_hash_seed(tmp_path, p):
+    """gb --k 3 and verify-gb print the same bytes under PYTHONHASHSEED 1, 2
+    and 3: no set or dict iteration that depends on string hashes reaches
+    the output or the division."""
+    import os
+    import subprocess
+    import sys
+
+    def chromideal(seed, *argv, stdin=None):
+        proc = subprocess.run([sys.executable, "-m", "chromideal", *argv], input=stdin,
+                              capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        return proc.returncode, proc.stdout
+
+    graph = write_dimacs(tmp_path / "g.col", random_chordal(16, 3, 5))
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        gb = chromideal(seed, "gb", "--k", "3", "--p", p, graph)
+        outputs.add((gb, chromideal(seed, "verify-gb", "-", stdin=gb[1])))
+    assert len(outputs) == 1
+    ((gb_code, gb_out), (verify_code, verify_out)), = outputs
+    assert gb_code == 0 and json.loads(gb_out)["chordal"] is True
+    assert verify_code == 0 and json.loads(verify_out)["valid"] is True
 
 
 def test_cli_import_leaves_numpy_out():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,12 @@ from chromideal.poly import (
     render,
     s_polynomial,
 )
-from dict_product import dict_monomial_product, term_by_term_product
+from dict_product import (
+    dict_monomial_divide,
+    dict_monomial_lcm,
+    dict_monomial_product,
+    term_by_term_product,
+)
 
 F5 = GF(5)
 F7 = GF(7)
@@ -158,6 +164,35 @@ def test_monomial_product_matches_dict_oracle(a, b):
     disjoint and shared variables."""
     product, expected = a * b, dict_monomial_product(a, b)
     assert product == expected and hash(product) == hash(expected)
+
+
+def test_monomial_divide_and_lcm_match_dict_oracle():
+    """Merged quotient and lcm equal the dict-built ones, hash included, and
+    divide raises exactly when the dict-built quotient does.  Half the pairs
+    are built divisible (a = b * c); the rest are random."""
+    rng = random.Random(13)
+
+    def mono():
+        return Monomial({v: rng.randint(0, 3) for v in rng.sample(range(1, 6), rng.randint(0, 4))})
+
+    shapes = {"divisible": 0, "not divisible": 0, "equal": 0}
+    for _ in range(2000):
+        b = mono()
+        a = b * mono() if rng.random() < 0.5 else (b if rng.random() < 0.1 else mono())
+        lcm, expected = a.lcm(b), dict_monomial_lcm(a, b)
+        assert lcm == expected and hash(lcm) == hash(expected)
+        try:
+            expected = dict_monomial_divide(a, b)
+        except ValueError:
+            with pytest.raises(ValueError):
+                a.divide(b)
+            shapes["not divisible"] += 1
+            continue
+        quotient = a.divide(b)
+        assert quotient == expected and hash(quotient) == hash(expected)
+        shapes["divisible"] += 1
+        shapes["equal"] += a == b
+    assert all(shapes.values()), shapes
 
 
 @st.composite
