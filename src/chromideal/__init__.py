@@ -20,6 +20,7 @@ from .certificates import (
 )
 from .chordal import (
     BasisResult,
+    ChordalBasis,
     GroebnerBasis,
     basis_polynomial,
     build_groebner_basis,

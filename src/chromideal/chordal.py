@@ -7,24 +7,32 @@ Under the lex order that ranks earlier-removed vertices higher, the leading
 monomials are pure powers x_v^{k-|U|} in pairwise distinct variables, which
 makes the collection a Groebner basis and makes counting and coloring
 extraction direct.
+
+The basis is explicit, so the sweep keeps only the elimination records: a
+ChordalBasis builds its polynomials on first read, and the canonical text
+of an element with a nonempty clique (every coefficient 1) is written
+straight from its record and the elimination ranks, with no Polynomial.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from .graphs import EliminationRecord, Graph, NotChordalError, perfect_elimination_order
 from .ideals import _check_characteristic, mk_vertex_poly
-from .poly import LEX, Polynomial, TermOrder, complete_homogeneous
+from .poly import LEX, Polynomial, TermOrder, _factor_str, complete_homogeneous
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Basis polynomials plus the term order they are a basis under.
 
-    `peo` carries the elimination records that produced a chordal basis;
-    it is None for bases built by the completion oracle.
+    `peo` carries the elimination records of a chordal basis that
+    oracle.reduce_basis reduced; it is None for bases built by the
+    completion oracle.
     """
 
     polys: tuple[Polynomial, ...]
@@ -33,11 +41,27 @@ class GroebnerBasis:
 
 
 @dataclass(frozen=True)
+class ChordalBasis:
+    """The basis of one elimination sweep: one element per record, under the
+    elimination term order.  `polys` is built on first read, so a caller
+    that only needs the records or the text pays for no polynomial."""
+
+    order: TermOrder
+    peo: tuple[EliminationRecord, ...]
+    k: int
+    field: object
+
+    @functools.cached_property
+    def polys(self) -> tuple[Polynomial, ...]:
+        return tuple(basis_polynomial(rec, self.k, self.field) for rec in self.peo)
+
+
+@dataclass(frozen=True)
 class BasisResult:
     """Either a basis, or infeasibility (the trivial basis {1}) witnessed by a
     simplicial vertex whose residual clique already has k or more members."""
 
-    basis: GroebnerBasis | None
+    basis: GroebnerBasis | ChordalBasis | None
     witness: EliminationRecord | None = None
 
     @property
@@ -69,13 +93,44 @@ def basis_polynomial(record: EliminationRecord, k: int, field) -> Polynomial:
     return complete_homogeneous(k - r, variables, field)
 
 
+def clique_element_text(record: EliminationRecord, k: int, rank: dict[int, int]) -> str:
+    """render(basis_polynomial(record, k, field), order) for a record whose
+    clique U has 1 to k-1 members, over any field, where `rank` maps each
+    vertex to its rank under the elimination order `order`.
+
+    Every coefficient of S_{k-|U|} is 1, so the text depends only on the
+    variables' ranks and ids: it is a template, one per degree and shape,
+    filled in with the variables."""
+    variables = sorted([record.vertex, *record.clique], key=rank.__getitem__, reverse=True)
+    by_id = tuple(sorted(range(len(variables)), key=variables.__getitem__))
+    return _clique_template(k - len(record.clique), by_id).format(*variables)
+
+
+@functools.lru_cache(maxsize=1024)
+def _clique_template(d: int, by_id: tuple[int, ...]) -> str:
+    """The text of S_d as a str.format template whose field {j} stands for
+    the j-th variable by descending rank; by_id lists the fields by
+    ascending variable id.  Combinations over the fields in rank order come
+    in lex-descending order, and each term's factors are written in
+    variable-id order, as render writes them.  Elements with cliques of up
+    to 5 members (k <= 6) have fewer shapes than the cache holds."""
+    slot = {j: i for i, j in enumerate(by_id)}
+    terms = []
+    for combo in itertools.combinations_with_replacement(range(len(by_id)), d):
+        runs = sorted([(j, len(list(run))) for j, run in itertools.groupby(combo)],
+                      key=lambda run: slot[run[0]])
+        terms.append("*".join([_factor_str(f"{{{j}}}", e) for j, e in runs]))
+    return " + ".join(terms)
+
+
 def build_groebner_basis(g: Graph, k: int, field) -> BasisResult | None:
     """Groebner basis of the k-coloring ideal of a chordal graph.
 
     Returns None when g is not chordal.  Returns an infeasible result (the
     trivial basis) as soon as the sweep removes a simplicial vertex with k or
-    more clique neighbors, which certifies a (k+1)-clique; otherwise one
-    polynomial per vertex, in removal order, under the elimination lex order.
+    more clique neighbors, which certifies a (k+1)-clique; otherwise a
+    ChordalBasis with one polynomial per vertex, in removal order, under the
+    elimination lex order.
     """
     _check_characteristic(field, k)
     peo = perfect_elimination_order(g)
@@ -84,9 +139,7 @@ def build_groebner_basis(g: Graph, k: int, field) -> BasisResult | None:
     for rec in peo:
         if len(rec.clique) >= k:
             return BasisResult(basis=None, witness=rec)
-    order = elimination_term_order(peo)
-    polys = tuple(basis_polynomial(rec, k, field) for rec in peo)
-    return BasisResult(basis=GroebnerBasis(polys, order, peo))
+    return BasisResult(basis=ChordalBasis(elimination_term_order(peo), peo, k, field))
 
 
 def quotient_dimension(result: BasisResult, k: int) -> int:

@@ -27,6 +27,7 @@ from .certificates import (
 from .chordal import (
     basis_polynomial,
     build_groebner_basis,
+    clique_element_text,
     count_along_order,
     count_colorings_chordal,
     elimination_term_order,
@@ -155,11 +156,13 @@ def basis_result_to_json(result, g, k, field) -> dict:
                        witness=_record_to_json(result.witness))
         return payload
     basis = result.basis
+    ranks = basis.order.ranks
     payload.update(
         infeasible=False,
-        basis=[render(p, basis.order) for p in basis.polys],
-        order={"kind": basis.order.kind,
-               "ranks": {str(v): r for v, r in sorted(basis.order.ranks.items())}},
+        # x_v^k - 1 when the clique is empty: render owns signs and constants
+        basis=[clique_element_text(rec, k, ranks) if rec.clique
+               else render(basis_polynomial(rec, k, field), basis.order) for rec in basis.peo],
+        order={"kind": basis.order.kind, "ranks": {str(v): r for v, r in sorted(ranks.items())}},
         elimination=[_record_to_json(r) for r in basis.peo],
         dimension=quotient_dimension(result, k),
         coloring={str(v): c for v, c in sorted(extract_coloring(basis.peo, k).items())},

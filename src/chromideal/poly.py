@@ -655,21 +655,25 @@ def complete_homogeneous(d: int, variables: Sequence[int], field) -> Polynomial:
         raise ValueError("complete_homogeneous requires at least one variable")
     if len(set(variables)) != len(variables):
         raise ValueError("variables must be distinct")
-    terms: dict[Monomial, object] = {}
-    for combo in itertools.combinations_with_replacement(variables, d):
-        exps: dict[int, int] = {}
-        for v in combo:
-            exps[v] = exps.get(v, 0) + 1
-        terms[Monomial(exps)] = field.one
-    return Polynomial(field, terms)
+    # Over ascending variables each combination lists its variables in
+    # ascending runs, which are the canonical exps tuple's pairs.
+    one, groupby = field.one, itertools.groupby
+    return _raw(field, {
+        _monomial(tuple([(v, len(list(run))) for v, run in groupby(combo)])): one
+        for combo in itertools.combinations_with_replacement(sorted(variables), d)})
 
 
 # --- canonical text form ----------------------------------------------------
 
+def _factor_str(v, e: int) -> str:
+    """One factor of a monomial's text: x{v}, or x{v}^{e} for e > 1."""
+    return f"x{v}" if e == 1 else f"x{v}^{e}"
+
+
 def _monomial_str(m: Monomial) -> str:
     if m.is_one:
         return "1"
-    return "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in m.exps)
+    return "*".join([_factor_str(v, e) for v, e in m.exps])
 
 
 def _term_str(c, m: Monomial, field) -> str:

@@ -6,11 +6,14 @@ maximizes the exponents in a dict and builds its result through the
 validating, sorting Monomial constructor.  The polynomial product here
 multiplies term by term through the dict product, and the S-polynomial is
 the old construction of two scaled polynomials subtracted through
-__sub__/__neg__, so the differential tests can check that the production
-code returns equal monomials and equal polynomials.
+__sub__/__neg__, and the complete homogeneous polynomial is built from one
+exponent dict per term, so the differential tests can check that the
+production code returns equal monomials and equal polynomials.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from chromideal.poly import Monomial, Polynomial, TermOrder
 
@@ -65,3 +68,15 @@ def subtracted_s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> P
 
     return (scaled(f, dict_monomial_divide(lcm, fm), fld.inv(fc))
             - scaled(g, dict_monomial_divide(lcm, gm), fld.inv(gc)))
+
+
+def dict_complete_homogeneous(d: int, variables, field) -> Polynomial:
+    """Sum of all degree-d monomials in the given variables, one exponent
+    dict and one validating Monomial per term."""
+    terms = {}
+    for combo in itertools.combinations_with_replacement(variables, d):
+        exps: dict[int, int] = {}
+        for v in combo:
+            exps[v] = exps.get(v, 0) + 1
+        terms[Monomial(exps)] = field.one
+    return Polynomial(field, terms)

@@ -1,10 +1,13 @@
 import math
 
+import random
+
 import pytest
 
 from chromideal.chordal import (
     basis_polynomial,
     build_groebner_basis,
+    clique_element_text,
     count_colorings_chordal,
     elimination_term_order,
     extract_coloring,
@@ -19,9 +22,12 @@ from chromideal.graphs import (
     perfect_elimination_order,
     random_chordal,
 )
-from chromideal.ideals import CharacteristicDividesK, check_coloring
+from chromideal.cli import basis_result_to_json
+from chromideal.ideals import CharacteristicDividesK, check_coloring, mk_vertex_poly
 from chromideal.oracle import brute_force_colorings, buchberger_criterion
-from chromideal.poly import Monomial, parse_poly
+from chromideal.poly import Monomial, parse_poly, render
+
+from dict_product import dict_complete_homogeneous
 
 
 def P(text, field=QQ):
@@ -206,3 +212,67 @@ def test_elimination_term_order_ranks():
     )
     order = elimination_term_order(peo)
     assert order.ranks == {4: 3, 2: 2, 1: 1}
+
+
+# --- the basis as text ------------------------------------------------------------
+
+def relabelled(g, rng):
+    """g with its vertices renamed at random, so that ids and ranks disagree."""
+    name = dict(zip(g.vertices, rng.sample(list(g.vertices), g.n)))
+    return Graph(g.n, [(name[u], name[v]) for u, v in g.edges()])
+
+
+def text_graphs(k, rng):
+    """n = 1, isolated vertices, forests, cliques of k - 1 to k + 1 vertices
+    and seeded random chordal graphs with cliques of up to k - 1, k and
+    k + 1 vertices, each relabelled."""
+    yield Graph(1)
+    yield relabelled(Graph(5, [(1, 3)]), rng)
+    for size in (k - 1, k, k + 1):
+        if size >= 1:
+            yield relabelled(complete_graph(size), rng)
+    for seed in range(4):
+        tree = random_chordal(10, 2, seed)
+        yield relabelled(Graph(10, list(tree.edges())[::2]), rng)
+        for c in sorted({max(k - 1, 1), k, k + 1}):
+            yield relabelled(random_chordal(14, c, seed), rng)
+
+
+def old_basis_polynomial(rec, k, field):
+    """basis_polynomial as it was built when gb rendered every polynomial:
+    one exponent dict and one validating Monomial per term."""
+    if not rec.clique:
+        return mk_vertex_poly(rec.vertex, k, field)
+    return dict_complete_homogeneous(k - len(rec.clique), sorted(rec.clique) + [rec.vertex], field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(11)], ids=str)
+def test_basis_text_matches_rendered_polynomials(field):
+    rng = random.Random(field.char)
+    compared = 0
+    for k in range(1, 10):
+        if field.char and k % field.char == 0:
+            with pytest.raises(CharacteristicDividesK):
+                build_groebner_basis(complete_graph(2), k, field)
+            continue
+        assert build_groebner_basis(cycle(4), k, field) is None
+        assert build_groebner_basis(cycle(5), k, field) is None
+        for g in text_graphs(k, rng):
+            peo = perfect_elimination_order(g)
+            result = build_groebner_basis(g, k, field)
+            witness = next((rec for rec in peo if len(rec.clique) >= k), None)
+            if witness is not None:
+                assert result.infeasible and result.witness == witness
+                continue
+            basis = result.basis
+            assert basis.peo == peo and basis.order == elimination_term_order(peo)
+            old = tuple(old_basis_polynomial(rec, k, field) for rec in peo)
+            assert basis.polys == old and basis.polys is basis.polys
+            ranks = basis.order.ranks
+            for rec, poly in zip(peo, old):
+                if rec.clique:
+                    assert clique_element_text(rec, k, ranks) == render(poly, basis.order)
+                    compared += 1
+            document = basis_result_to_json(result, g, k, field)
+            assert document["basis"] == [render(poly, basis.order) for poly in old]
+    assert compared > 500

@@ -1,20 +1,30 @@
 import argparse
 import hashlib
 import json
+import random
 
 import pytest
 
 import chromideal.cli
-from chromideal.chordal import count_along_order
+from chromideal.chordal import basis_polynomial, count_along_order, elimination_term_order
 from chromideal.cli import main
+from chromideal.fields import QQ
 from chromideal.graphs import Graph, perfect_elimination_order, random_chordal
 from chromideal.ideals import check_coloring
+from chromideal.poly import render
 
 TRIANGLE = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 C4 = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
 K4 = "p edge 4 6\n" + "".join(
     f"e {u} {v}\n" for u in range(1, 5) for v in range(u + 1, 5)
 )
+# An isolated vertex, then an edge, a triangle and a K_4 glued by single
+# edges, and a pendant vertex: elimination cliques of every size 0 to 3.
+# The labels are shuffled, so that variable ids and ranks disagree.
+CLIQUES = "p edge 11 13\n" + "".join(
+    f"e {u} {v}\n" for u, v in ((2, 11), (2, 9), (3, 9), (7, 9), (3, 7), (1, 7), (1, 10),
+                               (1, 4), (1, 8), (4, 10), (8, 10), (4, 8), (5, 8)))
+EDGELESS = "p edge 3 0\n"
 
 
 @pytest.fixture
@@ -35,6 +45,20 @@ def c4(tmp_path):
 def k4(tmp_path):
     path = tmp_path / "k4.col"
     path.write_text(K4)
+    return str(path)
+
+
+@pytest.fixture
+def cliques(tmp_path):
+    path = tmp_path / "cliques.col"
+    path.write_text(CLIQUES)
+    return str(path)
+
+
+@pytest.fixture
+def edgeless(tmp_path):
+    path = tmp_path / "edgeless.col"
+    path.write_text(EDGELESS)
     return str(path)
 
 
@@ -492,7 +516,7 @@ def test_edge_list_input(capsys, tmp_path):
     assert code == 0 and doc["colorings"] == 6
 
 
-def pinned_cells(capsys, tmp_path, triangle, c4, k4) -> dict:
+def pinned_cells(capsys, tmp_path, triangle, c4, k4, cliques, edgeless) -> dict:
     """(exit code, sha256 of stdout) of each cell, by cell name; each
     verifier cell reads the document the cell before it printed."""
     cells = {}
@@ -513,14 +537,21 @@ def pinned_cells(capsys, tmp_path, triangle, c4, k4) -> dict:
         verified("verify-gb", f"gb --p 7 {graph}", "gb", "--k", "3", "--p", "7", path)
         for verb in ("count", "color", "oracle-count"):
             cell(f"{verb} {graph}", verb, "--k", "3", path)
+    verified("verify-gb", "gb --k 5 cliques", "gb", "--k", "5", cliques)
+    verified("verify-gb", "gb --k 5 --p 11 cliques", "gb", "--k", "5", "--p", "11", cliques)
+    verified("verify-gb", "gb --p 2 triangle", "gb", "--k", "3", "--p", "2", triangle)
+    # the parser rejects k = 1, so the edgeless graph's smallest basis is k = 2
+    verified("verify-gb", "gb --k 1 edgeless", "gb", "--k", "1", edgeless)
+    verified("verify-gb", "gb --k 2 edgeless", "gb", "--k", "2", edgeless)
     verified("verify-cert", "cert --p 2 K_4", "cert", "--k", "3", "--p", "2", k4)
     verified("verify-cert", "cert --p 5 --lift K_4", "cert", "--k", "3", "--p", "5", "--lift", k4)
     return cells
 
 
-# Exit code and sha256 of stdout, in-process, with k = 3 throughout, recorded
-# before the verbs returned (document, answer) to main.  A change to any
-# document's layout or content has to edit this table.
+# Exit code and sha256 of stdout, in-process, recorded before the verbs
+# returned (document, answer) to main; the cliques, edgeless and GF(2)
+# triangle cells were recorded before gb wrote clique elements as text.  A
+# change to any document's layout or content has to edit this table.
 PINNED_STDOUT = {
     "check-chordal triangle":
         (0, "6e91a910b702e8ba32d61eacfefcd26f238d132854cf2c3b7f89dd3ec4fe7487"),
@@ -554,6 +585,26 @@ PINNED_STDOUT = {
         (1, "062fdd14fe7048c06dbd45133c7150a97db02317ccf2701742bc390cb5d6974f"),
     "oracle-count C_4":
         (0, "db6129a172d5c0ad9ec8d16a71f7d8bd9fe873d8b14b7eafc50fbdfd81efb4d5"),
+    "gb --k 5 cliques":
+        (0, "c63586b87d2660a6bba0909ab05f57c782f60d0e670ee2784d18438e07871ddd"),
+    "verify-gb < gb --k 5 cliques":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
+    "gb --k 5 --p 11 cliques":
+        (0, "88ba84fae0172f8d8efdcb4ec6a7cdcdccdbc14fd26ad04f3775b976643e1c60"),
+    "verify-gb < gb --k 5 --p 11 cliques":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
+    "gb --p 2 triangle":
+        (0, "75a33e9dc5615d8439e07e0b6420c8419ba1b3f7d5012a1a0bffb4ef4061d279"),
+    "verify-gb < gb --p 2 triangle":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
+    "gb --k 1 edgeless":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify-gb < gb --k 1 edgeless":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gb --k 2 edgeless":
+        (0, "f8354f1e0a0ef74dbcb9e9fe3c9fd85002508b1508f7ebf1e904eba421058572"),
+    "verify-gb < gb --k 2 edgeless":
+        (0, "c5a3ab06d5be541262cc024a7089f904178355f21b69e2dcfba0579660b4b707"),
     "cert --p 2 K_4":
         (0, "1ec0862272b036b0c9cb73448908c0098f99ca7e36982b9026f6a31e7059cb20"),
     "verify-cert < cert --p 2 K_4":
@@ -565,8 +616,9 @@ PINNED_STDOUT = {
 }
 
 
-def test_stdout_bytes_and_exit_codes_are_pinned(capsys, tmp_path, triangle, c4, k4):
-    assert pinned_cells(capsys, tmp_path, triangle, c4, k4) == PINNED_STDOUT
+def test_stdout_bytes_and_exit_codes_are_pinned(capsys, tmp_path, triangle, c4, k4, cliques,
+                                                edgeless):
+    assert pinned_cells(capsys, tmp_path, triangle, c4, k4, cliques, edgeless) == PINNED_STDOUT
 
 
 def test_main_runs_the_verb_function_it_finds_at_call_time(capsys, triangle, monkeypatch):
@@ -708,6 +760,12 @@ def test_chordal_verbs_at_one_hundred_thousand_vertices(capsys, tmp_path):
     code, doc = run_json(capsys, "color", "--k", "5", path)
     coloring = {int(v): c for v, c in doc["coloring"].items()}
     assert code == 0 and len(coloring) == g.n and check_coloring(g, 5, coloring)
+    code, doc = run_json(capsys, "gb", "--k", "5", path)
+    assert code == 0 and len(doc["basis"]) == g.n
+    assert doc["dimension"] == count_along_order(peo, 5)
+    order = elimination_term_order(peo)
+    for i in random.Random(1).sample(range(g.n), 1000):
+        assert doc["basis"][i] == render(basis_polynomial(peo[i], 5, QQ), order)
 
 
 @pytest.mark.slow

@@ -23,6 +23,7 @@ from chromideal.poly import (
     s_polynomial,
 )
 from dict_product import (
+    dict_complete_homogeneous,
     dict_monomial_divide,
     dict_monomial_lcm,
     dict_monomial_product,
@@ -346,6 +347,26 @@ def test_complete_homogeneous_examples():
     assert complete_homogeneous(1, [1, 2, 3], QQ) == P("x1 + x2 + x3")
     with pytest.raises(ValueError):
         complete_homogeneous(1, [], QQ)
+
+
+def test_complete_homogeneous_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="nonnegative"):
+        complete_homogeneous(-1, [1, 2], QQ)
+    with pytest.raises(ValueError, match="at least one variable"):
+        complete_homogeneous(2, [], QQ)
+    with pytest.raises(ValueError, match="distinct"):
+        complete_homogeneous(2, [3, 1, 3], QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F7], ids=str)
+def test_complete_homogeneous_matches_dict_oracle(field):
+    rng = random.Random(27)
+    for _ in range(200):
+        variables = rng.sample(range(1, 40), rng.randint(1, 6))  # any order
+        d = rng.randint(0, 6)
+        f = complete_homogeneous(d, variables, field)
+        assert f == dict_complete_homogeneous(d, variables, field)
+        assert all(isinstance(m, Monomial) and m == Monomial(dict(m.exps)) for m in f.terms)
 
 
 def binom(n, r):
