@@ -40,7 +40,7 @@ from .ideals import (
     mk_edge_poly,
     quotient_reduce,
 )
-from .poly import Monomial, Polynomial, _add_terms, _raw, parse_poly, render
+from .poly import Monomial, Polynomial, _add_terms, _monomial, _raw, parse_poly, render
 
 
 class InvalidCertificate(ValueError):
@@ -234,7 +234,7 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
             continue
         monomials = shapes[key] = []
         for exps in _coefficient_monomials(g.n, k, degrees, _stabilizer_chains(g.n, chunks, {u, v})):
-            monomials.append((Monomial(exps), dict(exps), sum(e * weight[w] for w, e in exps)))
+            monomials.append((_monomial(exps), dict(exps), sum(e * weight[w] for w, e in exps)))
             cols = n_cols + uses[key] * len(monomials)
             if field.p == 2:  # plain: for fixed (edge, l), the row fixes the monomial
                 linalg.check_dense_gf2(len(monomials), cols)
@@ -247,6 +247,7 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
     columns = []
     col_rows = []
     for u, v, movable, key in reps:
+        edge = (u, v)
         wu, wv = weight[u], weight[v]
         # shift[a][b]: code offsets of the k rows of a column whose monomial
         # has exponents a at u and b at v.
@@ -257,7 +258,7 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
             if movable:
                 offsets = [sort_chunks(code + s, movable) - code for s in offsets]
             col_rows.append([row_index.setdefault(code + s, len(row_index)) for s in offsets])
-            columns.append(((u, v), mono))
+            columns.append((edge, mono))
     return LinearSystem(field, d, columns, col_rows, list(row_index), chunks)
 
 
@@ -320,7 +321,8 @@ def solve_system(system: LinearSystem) -> dict[tuple[int, int], dict[Monomial, i
         # Chunks are single vertices over GF(2), so every coefficient is 1.
         x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [0])
     else:
-        entries = [[(r, 1) for r in rows] for rows in system.col_rows]
+        ones = [(r, 1) for r in range(len(system.row_monomials))]
+        entries = [[ones[r] for r in rows] for rows in system.col_rows]
         x = linalg.solve_sparse(entries, {0: 1}, system.field)
     if x is None:
         return None

@@ -7,7 +7,8 @@ Two solvers for A x = b given column-wise sparse input:
   by back-substitution.
 * solve_sparse: row-dict elimination over GF(p) on canonical ints with
   Markowitz-style pivoting (emptiest active column first, emptiest row
-  within it) and deterministic tie-breaking by index.
+  within it) and deterministic tie-breaking by index; a column is an exact
+  count and an append-only list of the rows that gained it.
 
 Both return one solution (free variables set to zero) or None when the
 system is inconsistent, and are deterministic for fixed input.  Both raise
@@ -41,12 +42,17 @@ from .fields import PrimeField
 # W_101/k=3 at degree 1 it traced 38.9 MB against 65.0 MB, and a fresh
 # `cert` process peaked at 62 MB (104 MB with the numpy kernel before it).
 _DENSE_BYTES = 2_000_000_000
-# Stored nonzeros allowed during one odd-p elimination.  A stored entry costs
-# about 125 bytes: a 50,020-column subsystem of the plain (trivial-group)
-# K_7/k=6/GF(5) system at degree 13 reaches 8 M at a 1.14 GB peak RSS, 139 MB
-# of it assembly (CPython 3.11, 2-vCPU x86-64 guest).  A larger budget only
-# delays the failure: at 30 M that subsystem ran for 16 minutes, reached
-# 4.06 GB and had not finished.
+# Stored nonzeros allowed during one odd-p elimination.  A fresh `cert`
+# process on M_4/k=4/GF(5), which is 4-colorable, reaches the budget at
+# degree 9 (1,256,860 x 253,991) at a 1,117 MB peak RSS, about 146 bytes per
+# entry.  Assembled alone, that system takes 429 MB before the pivot loop,
+# whose rows, column lists and heap then add about 90 bytes per entry.  With
+# a set of rows per column and a (row, 1) tuple per input entry that run
+# peaked at 1,950 MB, about 255 bytes per entry (CPython 3.11, 2-vCPU x86-64
+# guest).
+# A larger budget only delays the failure: at 30 M a 50,020-column subsystem
+# of the plain K_7/k=6/GF(5) system at degree 13 ran for 16 minutes, reached
+# 4.06 GB with the set store and had not finished.
 _FILL_BUDGET = 8_000_000
 
 
@@ -112,32 +118,39 @@ def solve_sparse(
     rhs on such a row makes the system inconsistent immediately.  Raises
     FillBudgetExceeded as soon as fill-in stores more than _FILL_BUDGET nonzeros.
 
-    The pivot is the exact minimum of (active count, column index), with
+    A column keeps the exact count of its rows and lists every row that
+    gained it; rows that lost it since (cancelled, emptied, retired) are
+    filtered out when it is pivoted.  The pivot is the exact minimum of
+    (count, column index), pushed as the int count * n_cols + column, with
     the sparsest row (lowest index on ties) inside that column.  A pivot
     step changes only the counts of the pivot row's columns, and retiring
-    the pivot row lowers each of them by one, so each is pushed once then,
-    with its final count; fill-in and cancellation push nothing.  The heap
-    thus holds every active column's current count, and other entries are
-    stale.  Pivoting stops once no unpivoted row has a nonzero rhs; the
-    returned vector is the one the full elimination returns (see the module
-    docstring).
+    the pivot row lowers each by one, so each is pushed once then, with its
+    final count; the heap thus holds every active column's current count,
+    and other entries are stale.  Pivoting stops once no unpivoted row has a
+    nonzero rhs; the returned vector is the one the full elimination returns
+    (see the module docstring).
     """
     p = field.p
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    nonzeros = 0
+    n_cols = len(col_entries)
+    rows: dict[int, dict[int, int]] = {}  # the active rows
+    col_rows: list[list[int]] = []
     for j, entries in enumerate(col_entries):
-        members = set()
+        members = []
         for i, c in entries:
             row = rows.setdefault(i, {})
-            if c := (row.get(j, 0) + c) % p:
+            if (old := row.get(j)) is None:
+                if c := c % p:
+                    row[j] = c
+                    members.append(i)
+            elif c := (old + c) % p:
                 row[j] = c
-                members.add(i)
-            elif j in row:
+            else:
                 del row[j]
-                members.discard(i)
-        nonzeros += len(members)
-        col_rows[j] = members
+        if len(members) != len(entries):  # a repeated or zero entry
+            members = [i for i in dict.fromkeys(members) if j in rows[i]]
+        col_rows.append(members)
+    counts = [len(members) for members in col_rows]
+    nonzeros = sum(counts)
 
     rhs_d = {i: c % p for i, c in rhs.items() if c % p}
     for i in rhs_d:
@@ -145,17 +158,21 @@ def solve_sparse(
             return None  # equation 0 = nonzero
     live = set(rhs_d)  # unpivoted rows with a nonzero rhs
 
-    heap = [(len(members), j) for j, members in col_rows.items() if members]
+    heap = [count * n_cols + j for j, count in enumerate(counts) if count]
     heapq.heapify(heap)
-    pivots: list[tuple[int, int]] = []
+    pivots: list[tuple[int, int, dict[int, int]]] = []
 
     while live and heap:
-        count, j = heapq.heappop(heap)
-        members = col_rows[j]
-        if len(members) != count:
+        count, j = divmod(heapq.heappop(heap), n_cols)
+        if counts[j] != count:
             continue  # stale: the column's current count is in the heap too
+        members = [r for r in col_rows[j] if j in rows.get(r, ())]
+        if len(members) != count:  # a row that lost j and regained it
+            members = list(dict.fromkeys(members))
+        col_rows[j] = []
+        counts[j] = 0
         i = min(members, key=lambda r: (len(rows[r]), r))
-        piv_row = rows[i]
+        piv_row = rows.pop(i)
         piv_inv = pow(piv_row[j], p - 2, p)
         piv_rhs = rhs_d.get(i, 0)
         live.discard(i)
@@ -171,13 +188,14 @@ def solve_sparse(
                 if old is None:  # fill-in
                     target[c] = -factor * v % p
                     nonzeros += 1
-                    col_rows[c].add(r)
+                    col_rows[c].append(r)
+                    counts[c] += 1
                 elif nv := (old - factor * v) % p:
                     target[c] = nv
                 else:  # cancellation
                     del target[c]
                     nonzeros -= 1
-                    col_rows[c].discard(r)
+                    counts[c] -= 1
             if piv_rhs:
                 nr = (rhs_d.get(r, 0) - factor * piv_rhs) % p
                 if nr:
@@ -190,23 +208,20 @@ def solve_sparse(
                 if r in rhs_d:
                     return None  # row collapsed to 0 = nonzero
                 del rows[r]
-        # retire the pivot row and column; the counts of the pivot row's
-        # columns, the only ones this step changed, go on the heap
+        # the retired pivot row leaves the counts of its columns, the only
+        # ones this step changed, which go on the heap
         for c, _ in rest:
-            cr = col_rows[c]
-            cr.discard(i)
-            if cr:
-                heapq.heappush(heap, (len(cr), c))
-        col_rows[j] = set()
-        pivots.append((i, j))
+            counts[c] -= 1
+            if counts[c]:
+                heapq.heappush(heap, counts[c] * n_cols + c)
+        pivots.append((i, j, piv_row))
         if nonzeros > _FILL_BUDGET:
             raise FillBudgetExceeded(f"elimination fill-in exceeded {_FILL_BUDGET} entries")
 
     # back-substitute with free columns at 0
     x: dict[int, int] = {}
-    for i, j in reversed(pivots):
+    for i, j, row in reversed(pivots):
         s = rhs_d.get(i, 0)
-        row = rows[i]
         for c, v in row.items():
             if c == j:
                 continue
@@ -214,4 +229,4 @@ def solve_sparse(
             if xc is not None:
                 s = (s - v * xc) % p
         x[j] = s * pow(row[j], p - 2, p) % p
-    return [x.get(j, 0) for j in range(len(col_entries))]
+    return [x.get(j, 0) for j in range(n_cols)]

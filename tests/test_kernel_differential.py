@@ -28,8 +28,14 @@ PRIMES = (2, 3, 5, 7)
 
 
 def gf2_view(n_rows, cols, rhs):
-    """The GF(2) kernel's input for a system given over the integers."""
-    col_rows = [[i for i, c in entries if c % 2] for entries in cols]
+    """The GF(2) kernel's input for a system given over the integers: a row
+    listed more than once in a column gets the sum of its coefficients."""
+    col_rows = []
+    for entries in cols:
+        sums = {}
+        for i, c in entries:
+            sums[i] = sums.get(i, 0) + c
+        col_rows.append([i for i, c in sums.items() if c % 2])
     return n_rows, col_rows, [i for i, c in rhs.items() if c % 2]
 
 
@@ -49,8 +55,14 @@ def systems(draw):
     n_rows = draw(st.integers(1, 8))
     n_cols = draw(st.integers(0, 8))
     entry = st.tuples(st.integers(0, n_rows - 1), st.integers(0, p - 1))
-    cols = [draw(st.lists(entry, max_size=n_rows, unique_by=lambda e: e[0]))
-            for _ in range(n_cols)]
+    # A column may list a row more than once, and repeats may sum to 0 mod p:
+    # such a row was listed yet holds no entry in the column.
+    cols = []
+    for _ in range(n_cols):
+        entries = draw(st.lists(entry, max_size=n_rows))
+        for i, c in draw(st.lists(entry, max_size=2)):
+            entries += [(i, c), (i, -c % p)]
+        cols.append(draw(st.permutations(entries)))
     if draw(st.booleans()):  # consistent: b = A x0
         x0 = draw(st.lists(st.integers(0, p - 1), min_size=n_cols, max_size=n_cols))
         rhs = {}
@@ -175,3 +187,25 @@ def test_gf2_kernel_matches_on_an_infeasible_certificate_system(d):
     args = (len(system.row_monomials), system.col_rows, [0])
     assert solve_gf2(*args) is None
     assert full_solve_gf2(*args) is None
+
+
+# (graph, k, p, d) -> the smallest _FILL_BUDGET at which solve_sparse finishes
+# the plain certificate system, found with the kernel that kept a set of rows
+# per column.  The fill-in count is unchanged by how a column remembers its
+# rows, so rows a column still lists after losing them must not count.
+FILL_THRESHOLDS = [
+    (cycle(7), 3, 5, 4, 5_959),  # 1,176 columns, 435 rows: inconsistent
+    (complete_graph(5), 4, 5, 5, 12_296),  # 1,060 columns, 221 rows: solvable
+]
+
+
+@pytest.mark.parametrize("g, k, p, d, budget", FILL_THRESHOLDS)
+def test_fill_budget_threshold_is_exact(g, k, p, d, budget, monkeypatch):
+    system = assemble_system(g, k, GF(p), d)
+    cols = [[(r, 1) for r in rows] for rows in system.col_rows]
+    expected = full_solve_sparse(cols, {0: 1}, GF(p))
+    monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", budget)
+    assert solve_sparse(cols, {0: 1}, GF(p)) == expected
+    monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", budget - 1)
+    with pytest.raises(chromideal.linalg.FillBudgetExceeded):
+        solve_sparse(cols, {0: 1}, GF(p))
