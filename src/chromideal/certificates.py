@@ -235,11 +235,9 @@ def assemble_system(g: Graph, k: int, field: PrimeField, d: int,
         monomials = shapes[key] = []
         for exps in _coefficient_monomials(g.n, k, degrees, _stabilizer_chains(g.n, chunks, {u, v})):
             monomials.append((_monomial(exps), dict(exps), sum(e * weight[w] for w, e in exps)))
+            # k rows per column; a plain system has one row per monomial at least
             cols = n_cols + uses[key] * len(monomials)
-            if field.p == 2:  # plain: for fixed (edge, l), the row fixes the monomial
-                linalg.check_dense_gf2(len(monomials), cols)
-            elif k * cols > linalg._FILL_BUDGET:  # solve_sparse's count before its first pivot
-                raise linalg.FillBudgetExceeded(f"{k * cols} entries exceed {linalg._FILL_BUDGET}")
+            linalg.check_size(field.p, len(monomials), cols, k * cols)
         n_cols += uses[key] * len(monomials)
 
     # Row ids in order of first touch; the constant row carrying the rhs is 0.
@@ -318,15 +316,10 @@ def solve_system(system: LinearSystem) -> dict[tuple[int, int], dict[Monomial, i
     Markowitz-pivot elimination for odd p.  Raises
     linalg.FillBudgetExceeded when a kernel would pass its memory budget."""
     if system.field.p == 2:
-        # Chunks are single vertices over GF(2), so every coefficient is 1.
         x = linalg.solve_gf2(len(system.row_monomials), system.col_rows, [0])
     else:
-        ones = [(r, 1) for r in range(len(system.row_monomials))]
-        entries = [[ones[r] for r in rows] for rows in system.col_rows]
-        x = linalg.solve_sparse(entries, {0: 1}, system.field)
-    if x is None:
-        return None
-    return _expand(system, x)
+        x = linalg.solve_sparse(system.col_rows, [0], system.field)
+    return None if x is None else _expand(system, x)
 
 
 @dataclass

@@ -43,10 +43,10 @@ class PrimeField:
     one = 1
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= 1 << 31:  # first: trial division of a large p takes minutes
+            raise ValueError(f"modulus {p} too large; must be < 2**31")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
-        if p >= 1 << 31:
-            raise ValueError(f"modulus {p} too large; must be < 2**31")
         self.p = p
 
     @property

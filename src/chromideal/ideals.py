@@ -70,13 +70,14 @@ def quotient_reduce(f: Polynomial, k: int) -> Polynomial:
 
 
 def check_coloring(g: Graph, k: int, coloring: Mapping[int, int]) -> bool:
-    """True iff the total map V -> {0..k-1} gives no edge equal endpoint colors."""
+    """True iff the total map V -> {0..k-1} gives no edge equal endpoint
+    colors; ValueError for an uncolored vertex or a color not an int in range."""
     for v in g.vertices:
         if v not in coloring:
             raise ValueError(f"vertex {v} is not colored")
         c = coloring[v]
-        if not (0 <= c < k):
-            raise ValueError(f"color {c} out of range 0..{k - 1}")
+        if type(c) is not int or not (0 <= c < k):
+            raise ValueError(f"color {c!r} out of range 0..{k - 1}")
     return all(coloring[u] != coloring[v] for u, v in g.edges())
 
 

@@ -1,6 +1,8 @@
 """Exact linear-system kernels for certificate search, on plain Python ints.
 
-Two solvers for A x = b given column-wise sparse input:
+Both solvers read A x = b as certificate systems are assembled: a column
+lists row ids, a row listed c times has coefficient c mod p, and b is a
+list of rows read the same way.  Neither changes its input lists.
 
 * solve_gf2: each row is an int used as a bitset; rows are reduced one by
   one into an echelon form keyed by their leftmost column, then x is found
@@ -14,7 +16,8 @@ Both return one solution (free variables set to zero) or None when the
 system is inconsistent, and are deterministic for fixed input.  Both raise
 FillBudgetExceeded instead of exhausting memory: solve_gf2 before building
 a system whose dense size passes _DENSE_BYTES, solve_sparse once fill-in
-stores more than _FILL_BUDGET nonzeros.
+stores more than _FILL_BUDGET nonzeros.  check_size applies the same
+budgets to a system that is still being assembled.
 
 Pivoting on leftmost columns, solve_gf2 returns the same vector whatever
 order it takes the rows in: the leftmost columns of any echelon basis of
@@ -32,7 +35,8 @@ full elimination returns.
 from __future__ import annotations
 
 import heapq
-from typing import Mapping, Sequence
+from collections import Counter
+from typing import Sequence
 
 from .fields import PrimeField
 
@@ -44,12 +48,12 @@ from .fields import PrimeField
 _DENSE_BYTES = 2_000_000_000
 # Stored nonzeros allowed during one odd-p elimination.  A fresh `cert`
 # process on M_4/k=4/GF(5), which is 4-colorable, reaches the budget at
-# degree 9 (1,256,860 x 253,991) at a 1,117 MB peak RSS, about 146 bytes per
-# entry.  Assembled alone, that system takes 429 MB before the pivot loop,
-# whose rows, column lists and heap then add about 90 bytes per entry.  With
-# a set of rows per column and a (row, 1) tuple per input entry that run
-# peaked at 1,950 MB, about 255 bytes per entry (CPython 3.11, 2-vCPU x86-64
-# guest).
+# degree 9 (1,256,860 x 253,991) at a 967 MB peak RSS, about 127 bytes per
+# entry.  Assembled alone, that system takes 328 MB before the pivot loop,
+# whose rows, column lists and heap then add about 85 bytes per entry.  A
+# copy of the input as (row, 1) pairs took that run to 1,117 MB, and a set
+# of rows per column on top of it to 1,950 MB, about 255 bytes per entry
+# (CPython 3.11, 2-vCPU x86-64 guest).
 # A larger budget only delays the failure: at 30 M a 50,020-column subsystem
 # of the plain K_7/k=6/GF(5) system at degree 13 ran for 16 minutes, reached
 # 4.06 GB with the set store and had not finished.
@@ -60,18 +64,22 @@ class FillBudgetExceeded(RuntimeError):
     """An elimination would store more than its memory budget allows."""
 
 
-def check_dense_gf2(n_rows: int, n_cols: int) -> None:
-    """Raise FillBudgetExceeded if n_rows x (n_cols + 1) bits pass _DENSE_BYTES."""
+def check_size(p: int, n_rows: int, n_cols: int, entries: int) -> None:
+    """Raise FillBudgetExceeded if the GF(p) kernel would refuse a system of
+    at least n_rows rows, n_cols columns and `entries` listings: n_rows x
+    (n_cols + 1) bits past _DENSE_BYTES over GF(2), entries past _FILL_BUDGET."""
     size = max(n_rows, 1) * ((n_cols + 64) // 64) * 8
-    if size > _DENSE_BYTES:
+    if p == 2 and size > _DENSE_BYTES:
         raise FillBudgetExceeded(f"dense GF(2) matrix of {size} bytes exceeds {_DENSE_BYTES}")
+    if p != 2 and entries > _FILL_BUDGET:
+        raise FillBudgetExceeded(f"{entries} entries exceed {_FILL_BUDGET}")
 
 
 def solve_gf2(
     n_rows: int, col_rows: Sequence[Sequence[int]], rhs_rows: Sequence[int]
 ) -> list[int] | None:
-    """Solve over GF(2).  Columns are given by their nonzero row indices
-    (0-based, each listed once); rhs_rows lists the rows where b = 1.
+    """Solve over GF(2).  Columns list their row indices (0-based) and
+    rhs_rows the rows of b; a row listed c times has coefficient c mod 2.
 
     Bit n_cols - j of a row is column j and bit 0 the rhs, so bit_length
     finds the leftmost column without a pass over the row.  Rows are taken
@@ -81,12 +89,12 @@ def solve_gf2(
     pivots by the lowest set bit made the kernel 1.5-3x slower.
     """
     n_cols = len(col_rows)
-    check_dense_gf2(n_rows, n_cols)
+    check_size(2, n_rows, n_cols, 0)
     rows = [0] * max(n_rows, 1)
     for j, col in enumerate((*col_rows, rhs_rows)):  # the rhs is column n_cols
         bit = 1 << (n_cols - j)
         for i in col:
-            rows[i] |= bit
+            rows[i] ^= bit
     echelon: dict[int, int] = {}  # bit length of the leading bit -> row
     while rows:
         row = rows.pop()
@@ -106,13 +114,11 @@ def solve_gf2(
 
 
 def solve_sparse(
-    col_entries: Sequence[Sequence[tuple[int, int]]],
-    rhs: Mapping[int, int],
-    field: PrimeField,
+    columns: Sequence[Sequence[int]], rhs: Sequence[int], field: PrimeField
 ) -> list[int] | None:
-    """Solve over GF(p).  Columns are given by (row, coefficient) pairs; a
-    row listed more than once in a column gets the sum of its coefficients.
-    Rows are arbitrary hashable indices.
+    """Solve over GF(p).  Columns list their row indices and rhs the rows of
+    b; a row listed c times has coefficient c mod p.  Rows are arbitrary
+    hashable indices.
 
     Rows never touched by a column are the equations 0 = rhs, so a nonzero
     rhs on such a row makes the system inconsistent immediately.  Raises
@@ -131,28 +137,27 @@ def solve_sparse(
     (see the module docstring).
     """
     p = field.p
-    n_cols = len(col_entries)
+    n_cols = len(columns)
     rows: dict[int, dict[int, int]] = {}  # the active rows
     col_rows: list[list[int]] = []
-    for j, entries in enumerate(col_entries):
+    for j, col in enumerate(columns):
         members = []
-        for i, c in entries:
-            row = rows.setdefault(i, {})
-            if (old := row.get(j)) is None:
-                if c := c % p:
-                    row[j] = c
-                    members.append(i)
-            elif c := (old + c) % p:
-                row[j] = c
-            else:
-                del row[j]
-        if len(members) != len(entries):  # a repeated or zero entry
-            members = [i for i in dict.fromkeys(members) if j in rows[i]]
+        for i in col:
+            row = rows.get(i) or rows.setdefault(i, {})
+            if not (c := row.get(j, 0)):
+                members.append(i)
+            row[j] = c + 1
+        if len(members) != len(col):  # a repeated row: its count mod p
+            for i in members:
+                rows[i][j] %= p
+                if not rows[i][j]:
+                    del rows[i][j]
+            members = [i for i in members if j in rows[i]]
         col_rows.append(members)
     counts = [len(members) for members in col_rows]
     nonzeros = sum(counts)
 
-    rhs_d = {i: c % p for i, c in rhs.items() if c % p}
+    rhs_d = {i: c % p for i, c in Counter(rhs).items() if c % p}
     for i in rhs_d:
         if not rows.get(i):
             return None  # equation 0 = nonzero

@@ -15,12 +15,18 @@ vectors still agree: both pivot on the leftmost columns of the row space
 of [A | b], a set that does not depend on the row order, and with every
 non-pivot column at 0 the solution is unique.
 
+full_solve_gf2 reads the production kernels' input format: a column lists
+its rows, and a row listed c times has coefficient c mod 2.  full_solve_sparse
+keeps the general (row, coefficient) form; full_solve_listed feeds it that
+format, and listed turns a (row, coefficient) system into it.
+
 The memory budgets are left out: the oracle only runs on small systems.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,16 +37,15 @@ from chromideal.fields import PrimeField
 def full_solve_gf2(
     n_rows: int, col_rows: Sequence[Sequence[int]], rhs_rows: Sequence[int]
 ) -> list[int] | None:
-    """Solve over GF(2).  Columns are given by their nonzero row indices
-    (0-based, each listed once); rhs_rows lists the rows where b = 1."""
+    """Solve over GF(2).  Columns list their row indices (0-based) and
+    rhs_rows the rows of b; a row listed c times has coefficient c mod 2."""
     n_cols = len(col_rows)
     words = (n_cols + 1 + 63) // 64 or 1
     m = np.zeros((max(n_rows, 1), words), dtype=np.uint64)
-    for j, rows in enumerate(col_rows):
-        if rows:
-            m[np.asarray(rows, dtype=np.intp), j >> 6] |= np.uint64(1 << (j & 63))
-    for i in rhs_rows:
-        m[i, n_cols >> 6] |= np.uint64(1 << (n_cols & 63))
+    for j, rows in enumerate((*col_rows, rhs_rows)):  # the rhs is column n_cols
+        odd = [i for i, c in Counter(rows).items() if c % 2]
+        if odd:
+            m[np.asarray(odd, dtype=np.intp), j >> 6] |= np.uint64(1 << (j & 63))
 
     used = np.zeros(m.shape[0], dtype=bool)
     pivot_of_col = np.full(n_cols, -1, dtype=np.int64)
@@ -168,3 +173,20 @@ def full_solve_sparse(
                 s = (s - v * xc) % p
         x[j] = s * pow(row[j], p - 2, p) % p
     return [x.get(j, 0) for j in range(len(col_entries))]
+
+
+def full_solve_listed(
+    columns: Sequence[Sequence[int]], rhs: Sequence[int], field: PrimeField
+) -> list[int] | None:
+    """full_solve_sparse on the production kernels' input: columns and rhs
+    list rows, a row listed c times having coefficient c."""
+    return full_solve_sparse([[(i, 1) for i in col] for col in columns], Counter(rhs), field)
+
+
+def listed(
+    cols: Sequence[Sequence[tuple[int, int]]], rhs: Mapping[int, int], p: int
+) -> tuple[list[list[int]], list[int]]:
+    """The production kernels' input for a system given by (row, coefficient)
+    pairs and an rhs map over GF(p): each row listed c mod p times."""
+    return ([[i for i, c in entries for _ in range(c % p)] for entries in cols],
+            [i for i, c in rhs.items() for _ in range(c % p)])

@@ -24,6 +24,7 @@ import chromideal.linalg
 from chromideal.linalg import solve_gf2, solve_sparse
 from chromideal.oracle import brute_force_colorings
 from chromideal.poly import Monomial, Polynomial, parse_poly
+from full_elimination import listed
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
 
@@ -81,14 +82,19 @@ def test_solve_gf2_identity_and_contradiction():
     assert solve_gf2(1, [], [0]) is None
     # duplicate equations are harmless
     assert solve_gf2(2, [[0, 1]], [0, 1]) == [1]
+    # a row listed twice has coefficient 0, in a column and in the rhs
+    assert solve_gf2(1, [[0, 0]], [0]) is None
+    assert solve_gf2(1, [[0, 0, 0]], [0, 0, 0]) == [1]
 
 
 def test_solve_sparse_identity_and_contradiction():
-    assert solve_sparse([[(0, 1)], [(1, 1)]], {0: 5, 1: 2}, F7) == [5, 2]
-    assert solve_sparse([], {0: 1}, F7) is None
-    assert solve_sparse([[(0, 1)], [(0, 2)]], {1: 1}, F7) is None  # row 1: 0 = 1
-    assert solve_sparse([[(0, 1), (0, 1)]], {0: 1}, F7) == [4]  # a repeated row adds up
-    assert solve_sparse([[(0, 3), (0, 4)]], {0: 1}, F7) is None  # ... to 0 here
+    # a row listed c times has coefficient c, in a column and in the rhs
+    assert solve_sparse([[0], [1]], [0] * 5 + [1] * 2, F7) == [5, 2]
+    assert solve_sparse([], [0], F7) is None
+    assert solve_sparse([[0], [0, 0]], [1], F7) is None  # row 1: 0 = 1
+    assert solve_sparse([[0, 0]], [0], F7) == [4]  # a repeated row adds up
+    assert solve_sparse([[0] * 7], [0], F7) is None  # ... to 0 when listed p times
+    assert solve_sparse([[0] * 7], [0] * 7, F7) == [0]  # so does the rhs
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -108,7 +114,7 @@ def test_solve_sparse_satisfies_random_consistent_systems(p):
         for j, entries in enumerate(cols):
             for i, c in entries:
                 b[i] = (b.get(i, 0) + c * x0[j]) % p
-        x = solve_sparse(cols, b, field)
+        x = solve_sparse(*listed(cols, b, p), field)
         assert x is not None
         residual = dict(b)
         for j, entries in enumerate(cols):
@@ -129,9 +135,7 @@ def test_gf2_kernels_agree_on_feasibility():
         ]
         rhs_rows = sorted(rng.sample(range(n_rows), rng.randint(0, n_rows)))
         dense = solve_gf2(n_rows, cols, rhs_rows)
-        sparse = solve_sparse(
-            [[(i, 1) for i in rows] for rows in cols], {i: 1 for i in rhs_rows}, F2
-        )
+        sparse = solve_sparse(cols, rhs_rows, F2)
         assert (dense is None) == (sparse is None)
         for x in (dense, sparse):
             if x is None:
@@ -158,7 +162,7 @@ def test_fill_budget_fails_loudly(monkeypatch):
     rhs = {i: rng.randrange(7) for i in range(n)}
     monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", 10)
     with pytest.raises(RuntimeError, match="fill-in exceeded"):
-        solve_sparse(cols, rhs, F7)
+        solve_sparse(*listed(cols, rhs, 7), F7)
 
 
 C7 = Graph(7, [(i, i % 7 + 1) for i in range(1, 8)])  # no twins: the plain system
@@ -209,6 +213,29 @@ def test_assembly_budget_refuses_only_past_the_kernel_budget(monkeypatch):
         solve_system(assemble_system(C7, 3, F2, 4))
     with pytest.raises(chromideal.linalg.FillBudgetExceeded, match="entries exceed"):
         assemble_system(C7, 3, F5, 4)
+
+
+@pytest.mark.parametrize("p, kernel", [(2, "solve_gf2"), (5, "solve_sparse")])
+def test_solve_system_hands_the_kernel_the_assembled_columns(monkeypatch, p, kernel):
+    """Both kernels read the system as assembled: solve_system passes the
+    col_rows list itself and the rhs [0], and the kernel leaves it as it was."""
+    system = assemble_system(complete_graph(4), 3, GF(p), 4)
+    before = [list(rows) for rows in system.col_rows]
+    solve = getattr(chromideal.linalg, kernel)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(chromideal.linalg, kernel, recorded)
+    assert solve_system(system) is not None
+    (args,) = calls
+    expected = ((len(system.row_monomials), system.col_rows, [0]) if p == 2
+                else (system.col_rows, [0], system.field))
+    assert args == expected
+    assert (args[1] if p == 2 else args[0]) is system.col_rows
+    assert system.col_rows == before
 
 
 def test_colorable_edge_system_is_infeasible():

@@ -338,8 +338,28 @@ def _signed_coloring_key(doc):
     doc["coloring"] = _first_key_as(doc["coloring"], "+1")
 
 
+def _color_one(doc, value):
+    """Give the vertex of color 1 the color value: the coloring stays proper
+    and in range, but one color is not an int."""
+    (v,) = [v for v, c in doc["coloring"].items() if c == 1]
+    doc["coloring"][v] = value
+
+
+def _fractional_color(doc):
+    _color_one(doc, 0.5)
+
+
+def _bool_color(doc):
+    _color_one(doc, True)
+
+
+def _float_color(doc):
+    _color_one(doc, 1.0)
+
+
 @pytest.mark.parametrize("forge", [_point_basis, _swap_first_records, _dimension_off_by_one,
-                                   _float_dimension, _signed_coloring_key])
+                                   _float_dimension, _signed_coloring_key, _fractional_color,
+                                   _bool_color, _float_color])
 def test_verify_gb_rejects_forged_feasible_document(capsys, triangle, tmp_path, forge):
     code, doc = run_json(capsys, "gb", "--k", "3", "--p", "7", triangle)
     assert code == 0
@@ -406,6 +426,8 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
         ("verify-cert", lambda doc: {**doc, "graph": {**doc["graph"], "edges": [
             [u, float(v)] for u, v in doc["graph"]["edges"]]}}),
         ("verify-cert", lambda doc: {**doc, "field": {**doc["field"], "p": 7.0}}),
+        ("verify-cert", lambda doc: {**doc, "field": {**doc["field"], "p": 2**61 - 1}}),
+        ("verify-gb", lambda doc: {**doc, "field": {"kind": "prime", "p": 2**61 - 1}}),
         *[("verify-cert", lambda doc, key=key: {**doc, "edge_coefficients": _first_key_as(
             doc["edge_coefficients"], key)}) for key in ["+1-2", " 01-2", "0_1-2", "\u0661-2"]],
         ("verify-cert", lambda doc: {**doc, "vertex_coefficients": {"+1": "x1"}}),
@@ -425,7 +447,8 @@ def _name_first_edge_twice(coefficients: dict) -> dict:
          "gb-version", "cert-array", "cert-list-coefficients", "cert-k-zero",
          "cert-repeated-edge", "cert-version", "cert-version-string",
          "gb-float-k", "gb-float-rank", "gb-bool-edge-end", "cert-float-k", "cert-string-k",
-         "cert-float-n", "cert-float-edge-end", "cert-float-p", "cert-signed-edge-key",
+         "cert-float-n", "cert-float-edge-end", "cert-float-p", "cert-huge-p", "gb-huge-p",
+         "cert-signed-edge-key",
          "cert-padded-edge-key", "cert-underscored-edge-key", "cert-arabic-indic-edge-key",
          "cert-signed-vertex-key", "gb-padded-rank-key",
          "cert-no-degree", "cert-no-lifted-degree", "cert-no-vertex-coefficients",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chromideal.fields
 from chromideal.fields import (
     GF,
     QQ,
@@ -23,13 +24,21 @@ def test_is_prime_small_table():
         assert is_prime(n) == (n in primes_below_50)
 
 
-def test_modulus_validation():
+def test_modulus_validation(monkeypatch):
     with pytest.raises(ValueError):
         PrimeField(9)
     with pytest.raises(ValueError):
         PrimeField(1)
     with pytest.raises(ValueError):
         PrimeField(2**31 + 11)
+
+    # trial division of the prime 2^61 - 1 would not end: the bound comes first
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(chromideal.fields, "is_prime", no_trial_division)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**61 - 1)
 
 
 def test_basic_ops():

@@ -117,6 +117,11 @@ def test_check_coloring_validation():
         check_coloring(edge, 2, {1: 0, 2: 5})
     with pytest.raises(ValueError, match="not colored"):
         check_coloring(edge, 2, {1: 0})
+    # a color must be an int: these would pass as proper colorings otherwise
+    path = Graph(3, [(1, 2), (2, 3)])
+    for coloring in ({1: 0, 2: 0.5, 3: 1}, {1: 0, 2: True, 3: 0}, {1: 0.0, 2: 1, 3: 0}):
+        with pytest.raises(ValueError, match="out of range"):
+            check_coloring(path, 2, coloring)
 
 
 @pytest.mark.parametrize(

@@ -22,30 +22,24 @@ from chromideal.certificates import admissible_degrees, assemble_system, search_
 from chromideal.fields import GF
 from chromideal.graphs import Graph, complete_graph
 from chromideal.linalg import solve_gf2, solve_sparse
-from full_elimination import full_solve_gf2, full_solve_sparse
+from full_elimination import full_solve_gf2, full_solve_listed, full_solve_sparse, listed
 
 PRIMES = (2, 3, 5, 7)
 
 
-def gf2_view(n_rows, cols, rhs):
-    """The GF(2) kernel's input for a system given over the integers: a row
-    listed more than once in a column gets the sum of its coefficients."""
-    col_rows = []
-    for entries in cols:
-        sums = {}
-        for i, c in entries:
-            sums[i] = sums.get(i, 0) + c
-        col_rows.append([i for i, c in sums.items() if c % 2])
-    return n_rows, col_rows, [i for i, c in rhs.items() if c % 2]
-
-
 def assert_kernels_match(n_rows, cols, rhs, p):
+    """Both kernels read the system as row lists, repeated and cancelling
+    listings included, return the oracle's vector and leave their input
+    unchanged."""
     expected = full_solve_sparse(cols, rhs, GF(p))
-    assert solve_sparse(cols, rhs, GF(p)) == expected
+    columns, b = listed(cols, rhs, p)
+    before = ([list(col) for col in columns], list(b))
+    assert solve_sparse(columns, b, GF(p)) == expected
     if p == 2:
-        view = gf2_view(n_rows, cols, rhs)
-        assert solve_gf2(*view) == full_solve_gf2(*view)
-        assert (full_solve_gf2(*view) is None) == (expected is None)
+        x = full_solve_gf2(n_rows, columns, b)
+        assert solve_gf2(n_rows, columns, b) == x
+        assert (x is None) == (expected is None)
+    assert (columns, b) == before
     return expected
 
 
@@ -132,8 +126,8 @@ def test_empty_columns_and_rhs_on_several_rows(p):
     assert assert_kernels_match(3, cols, {0: 1, 1: 1, 2: 1}, p) == [1, 0, 1, 0, 0]
     assert assert_kernels_match(3, cols, {1: 1}, p) == [0, 0, 1, 0, p - 1]
     # row 3 is touched by no column: 0 = 1
-    assert solve_sparse(cols, {0: 1, 3: 1}, GF(p)) is None
-    assert solve_gf2(*gf2_view(4, cols, {0: 1, 3: 1})) is None
+    assert solve_sparse(*listed(cols, {0: 1, 3: 1}, p), GF(p)) is None
+    assert solve_gf2(4, *listed(cols, {0: 1, 3: 1}, 2)) is None
 
 
 def planted(n, k, rng):
@@ -169,7 +163,7 @@ def certificate_cells():
 @pytest.mark.parametrize("g, k, p", certificate_cells())
 def test_search_certificate_matches_full_elimination(g, k, p, monkeypatch):
     cert = search_certificate(g, k, GF(p))
-    monkeypatch.setattr(chromideal.linalg, "solve_sparse", full_solve_sparse)
+    monkeypatch.setattr(chromideal.linalg, "solve_sparse", full_solve_listed)
     monkeypatch.setattr(chromideal.linalg, "solve_gf2", full_solve_gf2)
     full = search_certificate(g, k, GF(p))
     assert cert is not None and full is not None
@@ -202,10 +196,9 @@ FILL_THRESHOLDS = [
 @pytest.mark.parametrize("g, k, p, d, budget", FILL_THRESHOLDS)
 def test_fill_budget_threshold_is_exact(g, k, p, d, budget, monkeypatch):
     system = assemble_system(g, k, GF(p), d)
-    cols = [[(r, 1) for r in rows] for rows in system.col_rows]
-    expected = full_solve_sparse(cols, {0: 1}, GF(p))
+    expected = full_solve_listed(system.col_rows, [0], GF(p))
     monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", budget)
-    assert solve_sparse(cols, {0: 1}, GF(p)) == expected
+    assert solve_sparse(system.col_rows, [0], GF(p)) == expected
     monkeypatch.setattr(chromideal.linalg, "_FILL_BUDGET", budget - 1)
     with pytest.raises(chromideal.linalg.FillBudgetExceeded):
-        solve_sparse(cols, {0: 1}, GF(p))
+        solve_sparse(system.col_rows, [0], GF(p))

@@ -129,8 +129,7 @@ def test_expanded_certificates_are_group_invariant():
 
 def plain_feasible(g, k, p, d):
     columns, col_rows, rhs_row, _ = dense_assembly(g, k, d)
-    entries = [[(r, 1) for r in rows] for rows in col_rows]
-    return solve_sparse(entries, {rhs_row: 1}, GF(p)) is not None
+    return solve_sparse(col_rows, [rhs_row], GF(p)) is not None
 
 
 def orbit_cells():
