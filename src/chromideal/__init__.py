@@ -21,7 +21,6 @@ from .certificates import (
 from .chordal import (
     BasisResult,
     ChordalBasis,
-    GroebnerBasis,
     basis_polynomial,
     build_groebner_basis,
     count_colorings_chordal,
@@ -44,8 +43,6 @@ from .graphs import (
     NotChordalError,
     ParseError,
     complete_graph,
-    is_chordal,
-    is_simplicial,
     load_graph,
     parse_dimacs,
     parse_edge_list,
@@ -62,13 +59,9 @@ from .ideals import (
     quotient_reduce,
 )
 from .oracle import (
-    NotAGroebnerBasis,
-    OracleBudgetExceeded,
     OracleTooLarge,
     brute_force_colorings,
-    buchberger,
     buchberger_criterion,
-    reduce_basis,
 )
 from .poly import (
     FieldMismatchError,
@@ -77,7 +70,6 @@ from .poly import (
     TermOrder,
     ZeroPolynomialError,
     complete_homogeneous,
-    elementary_symmetric,
     normal_form,
     parse_poly,
     render,

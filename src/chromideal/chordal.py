@@ -27,20 +27,6 @@ from .poly import LEX, Polynomial, TermOrder, _factor_str, complete_homogeneous
 
 
 @dataclass(frozen=True)
-class GroebnerBasis:
-    """Basis polynomials plus the term order they are a basis under.
-
-    `peo` carries the elimination records of a chordal basis that
-    oracle.reduce_basis reduced; it is None for bases built by the
-    completion oracle.
-    """
-
-    polys: tuple[Polynomial, ...]
-    order: TermOrder
-    peo: tuple[EliminationRecord, ...] | None = None
-
-
-@dataclass(frozen=True)
 class ChordalBasis:
     """The basis of one elimination sweep: one element per record, under the
     elimination term order.  `polys` is built on first read, so a caller
@@ -58,10 +44,11 @@ class ChordalBasis:
 
 @dataclass(frozen=True)
 class BasisResult:
-    """Either a basis, or infeasibility (the trivial basis {1}) witnessed by a
-    simplicial vertex whose residual clique already has k or more members."""
+    """Either the basis of an elimination sweep, or infeasibility (the trivial
+    basis {1}, basis None) witnessed by a simplicial vertex whose residual
+    clique already has k or more members."""
 
-    basis: GroebnerBasis | ChordalBasis | None
+    basis: ChordalBasis | None
     witness: EliminationRecord | None = None
 
     @property

@@ -30,6 +30,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_modulus(p) -> None:
+    """Raise ValueError unless p is an int prime below 2**31.  The bound is
+    tested first: trial division of a large prime takes minutes."""
+    if isinstance(p, int) and p >= 1 << 31:
+        raise ValueError(f"modulus {p} too large; must be < 2**31")
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"modulus {p!r} is not prime")
+
+
 class PrimeField:
     """The field GF(p) for a prime p < 2**31.
 
@@ -43,10 +52,7 @@ class PrimeField:
     one = 1
 
     def __init__(self, p: int):
-        if isinstance(p, int) and p >= 1 << 31:  # first: trial division of a large p takes minutes
-            raise ValueError(f"modulus {p} too large; must be < 2**31")
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"modulus {p!r} is not prime")
+        _check_modulus(p)
         self.p = p
 
     @property
@@ -164,9 +170,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def multiplicative_generator(p: int) -> int:
-    """Smallest generator of the cyclic group GF(p)*, by exhaustive order check."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Smallest generator of the cyclic group GF(p)*, by exhaustive order
+    check, for a prime p < 2**31."""
+    _check_modulus(p)
     if p == 2:
         return 1
     order = p - 1
@@ -178,15 +184,14 @@ def multiplicative_generator(p: int) -> int:
 
 
 def kth_roots_of_unity(p: int, k: int) -> list[int]:
-    """All k-th roots of unity in GF(p), ascending.
+    """All k-th roots of unity in GF(p), ascending, for a prime p < 2**31.
 
     Requires p = 1 (mod k) so that the full set of k distinct roots exists;
     otherwise raises RootsUnavailable.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_modulus(p)
     if (p - 1) % k != 0:
         raise RootsUnavailable(f"GF({p}) has no full set of {k}-th roots of unity")
     g = multiplicative_generator(p)

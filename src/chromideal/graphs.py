@@ -165,12 +165,6 @@ def _adj_is_simplicial(adj, v: int) -> bool:
     return True
 
 
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff the neighborhood of v is a clique."""
-    g.neighbors(v)  # range check
-    return _adj_is_simplicial(g._adj, v)
-
-
 def perfect_elimination_order(g: Graph) -> tuple[EliminationRecord, ...] | None:
     """Remove a simplicial vertex per round (lowest index wins ties), recording
     its residual neighborhood; returns None when some residual graph has no
@@ -198,10 +192,6 @@ def perfect_elimination_order(g: Graph) -> tuple[EliminationRecord, ...] | None:
                 queued.add(w)
                 heapq.heappush(heap, w)
     return tuple(records) if not adj else None
-
-
-def is_chordal(g: Graph) -> bool:
-    return perfect_elimination_order(g) is not None
 
 
 def random_chordal(n: int, k_max_clique: int, seed: int) -> Graph:

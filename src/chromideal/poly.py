@@ -61,52 +61,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return _monomial(_merge_exps(self.exps, other.exps))
 
-    def divides(self, other: "Monomial") -> bool:
-        o = dict(other.exps)
-        return all(o.get(v, 0) >= e for v, e in self.exps)
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; raises if not divisible."""
-        b = other.exps
-        nb = len(b)
-        out = []
-        j = 0
-        for v, e in self.exps:
-            if j < nb and b[j][0] <= v:
-                vb, eb = b[j]
-                if vb < v or eb > e:
-                    break
-                j += 1
-                e -= eb
-                if not e:
-                    continue
-            out.append((v, e))
-        else:
-            if j == nb:
-                return _monomial(tuple(out))
-        raise ValueError(f"{other} does not divide {self}")
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        na, nb = len(a), len(b)
-        out = []
-        i = j = 0
-        while i < na and j < nb:
-            va, vb = a[i][0], b[j][0]
-            if va < vb:
-                out.append(a[i])
-                i += 1
-            elif vb < va:
-                out.append(b[j])
-                j += 1
-            else:
-                out.append(a[i] if a[i][1] >= b[j][1] else b[j])
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return _monomial(tuple(out))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and other.exps == self.exps
 
@@ -141,17 +95,6 @@ class TermOrder:
             raise ValueError("variable ranks must be distinct")
         self.kind = kind
         self._rank = rank
-
-    @classmethod
-    def lex_descending(cls, variables: Sequence[int]) -> "TermOrder":
-        """Lex order with the listed variables largest-first."""
-        n = len(variables)
-        return cls(LEX, {v: n - i for i, v in enumerate(variables)})
-
-    @classmethod
-    def grlex_descending(cls, variables: Sequence[int]) -> "TermOrder":
-        n = len(variables)
-        return cls(GRLEX, {v: n - i for i, v in enumerate(variables)})
 
     @classmethod
     def natural(cls, variables: Iterable[int], kind: str = GRLEX) -> "TermOrder":
@@ -294,36 +237,6 @@ class Polynomial:
 
     def leading_monomial(self, order: TermOrder) -> Monomial:
         return self.leading_term(order)[0]
-
-    def monic(self, order: TermOrder) -> "Polynomial":
-        _, c = self.leading_term(order)
-        return self.scale(self.field.inv(c))
-
-    def evaluate(self, assignment: Mapping[int, object]):
-        """Exact value at a total assignment of the polynomial's variables."""
-        f = self.field
-        vals = {v: f.element(x) for v, x in assignment.items()}
-        total = f.zero
-        for m, c in self.terms.items():
-            acc = c
-            for v, e in m.exps:
-                if v not in vals:
-                    raise ValueError(f"unbound variable x{v}")
-                acc = f.mul(acc, f.pow(vals[v], e))
-            total = f.add(total, acc)
-        return total
-
-    def substitute(self, assignment: Mapping[int, object]) -> "Polynomial":
-        """Partial evaluation: plug in values for a subset of the variables."""
-        f = self.field
-        vals = {v: f.element(x) for v, x in assignment.items()}
-        plugged = []
-        for m, c in self.terms.items():
-            for v, e in m.exps:
-                if v in vals:
-                    c = f.mul(c, f.pow(vals[v], e))
-            plugged.append((Monomial([(v, e) for v, e in m.exps if v not in vals]), c))
-        return _raw(f, _add_terms(f, {}, plugged))
 
     def __eq__(self, other) -> bool:
         return (
@@ -632,19 +545,6 @@ def _cofactor_exps(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     cb.extend(a[i:])
     ca.extend(b[j:])
     return tuple(ca), tuple(cb)
-
-
-def elementary_symmetric(d: int, values: Sequence, field):
-    """Value of the elementary symmetric polynomial sigma_d at the given points."""
-    if d < 0 or d > len(values):
-        raise ValueError(f"degree {d} out of range for {len(values)} values")
-    # coefficient DP over prod (1 + v*t), tracking t^0..t^d
-    e = [field.one] + [field.zero] * d
-    for raw in values:
-        v = field.element(raw)
-        for j in range(min(d, len(e) - 1), 0, -1):
-            e[j] = field.add(e[j], field.mul(v, e[j - 1]))
-    return e[d]
 
 
 def complete_homogeneous(d: int, variables: Sequence[int], field) -> Polynomial:

@@ -1,11 +1,13 @@
 """Dict-built monomial arithmetic: a test-only oracle.
 
-These are chromideal.poly's monomial product, quotient and lcm before they
-worked on the variable-sorted exps tuples directly: each adds, subtracts or
-maximizes the exponents in a dict and builds its result through the
-validating, sorting Monomial constructor.  The polynomial product here
-multiplies term by term through the dict product, and the S-polynomial is
-the old construction of two scaled polynomials subtracted through
+The monomial product here is chromideal.poly's before it merged the
+variable-sorted exps tuples directly: it adds the exponents in a dict and
+builds its result through the validating, sorting Monomial constructor.
+The quotient, lcm and divisibility test are built the same way, and they
+are the only ones: chromideal.poly has none, and full_division.py,
+oracles.py and the tests use these.  The polynomial product here
+multiplies term by term through the dict product, the S-polynomial is the
+old construction of two scaled polynomials subtracted through
 __sub__/__neg__, and the complete homogeneous polynomial is built from one
 exponent dict per term, so the differential tests can check that the
 production code returns equal monomials and equal polynomials.
@@ -23,6 +25,12 @@ def dict_monomial_product(a: Monomial, b: Monomial) -> Monomial:
     for v, e in b.exps:
         d[v] = d.get(v, 0) + e
     return Monomial(d)
+
+
+def dict_monomial_divides(a: Monomial, b: Monomial) -> bool:
+    """True iff a divides b."""
+    d = dict(b.exps)
+    return all(d.get(v, 0) >= e for v, e in a.exps)
 
 
 def dict_monomial_divide(a: Monomial, b: Monomial) -> Monomial:

@@ -4,11 +4,12 @@ This is chromideal.poly.normal_form before it learned to compute a term's
 order key only when the term enters the work list and keep the terms in a
 heap, to index the divisors' leading terms by variable once per basis, to
 build monomials by merging exps tuples, to build the quotients at the end
-and to divide over ZZ.  It accepts any sequence of divisors, a Divisors
-tuple included.  Every step it scans the whole work list for its largest
-term and tries every divisor's leading monomial in list order, so the
-differential tests can check that the production division returns equal
-quotients and an equal remainder, not just a valid division.
+and to divide over ZZ.  Its monomial divisibility test and quotient are the
+dict-built ones of dict_product.py.  It accepts any sequence of divisors, a
+Divisors tuple included.  Every step it scans the whole work list for its
+largest term and tries every divisor's leading monomial in list order, so
+the differential tests can check that the production division returns
+equal quotients and an equal remainder, not just a valid division.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from chromideal.poly import (
     _add_terms,
     _raw,
 )
+from dict_product import dict_monomial_divide, dict_monomial_divides
 
 
 def full_normal_form(
@@ -52,8 +54,8 @@ def full_normal_form(
         lm = max(work, key=key)
         lc = work[lm]
         for i, (gm, gc) in enumerate(heads):
-            if gm.divides(lm):
-                q = lm.divide(gm)
+            if dict_monomial_divides(gm, lm):
+                q = dict_monomial_divide(lm, gm)
                 qc = fld.div(lc, gc)
                 quots[i].append((q, qc))
                 neg_qc = fld.neg(qc)

@@ -21,7 +21,7 @@ from chromideal.chordal import build_groebner_basis
 from chromideal.fields import GF, QQ
 from chromideal.graphs import random_chordal
 from chromideal.ideals import build_ideal
-from chromideal.oracle import OracleBudgetExceeded, buchberger, buchberger_criterion
+from chromideal.oracle import buchberger_criterion
 from chromideal.poly import (
     GRLEX,
     LEX,
@@ -34,6 +34,7 @@ from chromideal.poly import (
 )
 from dict_product import subtracted_s_polynomial
 from full_division import full_normal_form
+from oracles import OracleBudgetExceeded, buchberger
 
 FIELDS = (QQ, GF(2), GF(7))
 KINDS = (LEX, GRLEX)

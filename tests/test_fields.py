@@ -112,3 +112,15 @@ def test_multiplicative_generator_has_full_order(p):
     g = multiplicative_generator(p)
     seen = {pow(g, e, p) for e in range(p - 1)}
     assert len(seen) == p - 1
+
+
+def test_roots_helpers_refuse_large_moduli_before_trial_division(monkeypatch):
+    # trial division of the prime 2^61 - 1 would not end: the bound comes first
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(chromideal.fields, "is_prime", no_trial_division)
+    with pytest.raises(ValueError, match="too large"):
+        kth_roots_of_unity(2**61 - 1, 2)
+    with pytest.raises(ValueError, match="too large"):
+        multiplicative_generator(2**61 - 1)

@@ -1,21 +1,23 @@
+import itertools
+
 import pytest
 
 import chromideal.oracle
-from chromideal.chordal import GroebnerBasis, build_groebner_basis
-from chromideal.fields import GF, QQ
+from chromideal.chordal import build_groebner_basis
+from chromideal.fields import QQ
 from chromideal.graphs import Graph, complete_graph
-from chromideal.oracle import (
+from chromideal.oracle import OracleTooLarge, brute_force_colorings, buchberger_criterion
+from chromideal.poly import normal_form, parse_poly, s_polynomial
+from oracles import (
+    GroebnerBasis,
     NotAGroebnerBasis,
     OracleBudgetExceeded,
-    OracleTooLarge,
-    brute_force_colorings,
     buchberger,
-    buchberger_criterion,
+    lex_descending,
     reduce_basis,
 )
-from chromideal.poly import TermOrder, normal_form, parse_poly
 
-LEX_XY = TermOrder.lex_descending([1, 2])
+LEX_XY = lex_descending([1, 2])
 
 
 def P(text, field=QQ):
@@ -48,7 +50,12 @@ def test_criterion_examples():
     assert buchberger_criterion([P("x1^3 - x2")], LEX_XY)
 
 
-def test_criterion_coprime_skip_agrees():
+def test_first_criterion_coprime_heads_reduce_to_zero():
+    """Buchberger's first criterion: an S-pair whose leading monomials share
+    no variable has an S-polynomial that divides by the pair itself with
+    remainder 0, whether or not the list it comes from is a Groebner basis.
+    The cases hold four such pairs: one in the second list and all three in
+    the triangle's basis."""
     tri = build_groebner_basis(complete_graph(3), 3, QQ).basis
     cases = [
         ([P("x1^2 - x2"), P("x1*x2 - 1")], LEX_XY),
@@ -56,10 +63,15 @@ def test_criterion_coprime_skip_agrees():
         (list(tri.polys), tri.order),
         ([P("x1*x2 - x2"), P("x2^2 - x1")], LEX_XY),
     ]
+    coprime = 0
     for polys, order in cases:
-        assert buchberger_criterion(polys, order, skip_coprime=True) == buchberger_criterion(
-            polys, order, skip_coprime=False
-        )
+        for f, g in itertools.combinations(polys, 2):
+            if set(f.leading_monomial(order).vars()) & set(g.leading_monomial(order).vars()):
+                continue
+            _, r = normal_form(s_polynomial(f, g, order), [f, g], order)
+            assert r.is_zero, (f, g)
+            coprime += 1
+    assert coprime == 4
 
 
 # --- completion -------------------------------------------------------------------
@@ -133,7 +145,7 @@ def test_reduce_basis_invariant_under_permutation():
 
 
 def test_disjoint_variable_generators_reduce_independently():
-    order = TermOrder.lex_descending([1, 2, 3, 4])
+    order = lex_descending([1, 2, 3, 4])
     f1 = [P("x1^2 - x2"), P("x1*x2 - 1")]
     f2 = [P("x3^2 + x4"), P("x4^2 - 2")]
     joint = reduce_basis(buchberger(f1 + f2, order))
