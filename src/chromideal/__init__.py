@@ -43,6 +43,7 @@ from .graphs import (
     NotChordalError,
     ParseError,
     complete_graph,
+    find_clique,
     load_graph,
     parse_dimacs,
     parse_edge_list,

@@ -10,9 +10,11 @@ by degree class, an exact linear system over GF(p) whose columns are
 monomials, and solves it with the kernels in linalg.  Each system is taken
 over the orbits of a group of twin-vertex permutations whose order is prime
 to p, which leaves its solvability unchanged (see LinearSystem), and a
-solution expands back to a plain certificate.  A found edge-only
-certificate can be lifted to a full-ring identity by tracking the quotients
-of division by the vertex generators.
+solution expands back to a plain certificate.  A graph with a
+(k+1)-clique that is not K_{k+1} itself first tries K_{k+1}'s system at
+each degree: a certificate for a subgraph is one for the graph.  A found
+edge-only certificate can be lifted to a full-ring identity by tracking
+the quotients of division by the vertex generators.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .fields import PrimeField
-from .graphs import Graph
+from .graphs import Graph, complete_graph, find_clique
 from .ideals import (
     JSON_VERSION,
     ColoringIdeal,
@@ -363,6 +365,16 @@ class Certificate:
         return max([self.degree] + [g.degree() for g in self.vertex_coeffs.values()])
 
 
+def _relabel(solution: dict[tuple[int, int], dict[Monomial, int]],
+             clique: list[int]) -> dict[tuple[int, int], dict[Monomial, int]]:
+    """A solution on K_{k+1} with vertex i renamed clique[i - 1]; clique is
+    increasing, so edges and monomials keep their order."""
+    name = [0, *clique]
+    return {(name[u], name[v]): {_monomial(tuple((name[w], e) for w, e in m.exps)): c
+                                 for m, c in terms.items()}
+            for (u, v), terms in solution.items()}
+
+
 def search_certificate(
     g: Graph,
     k: int,
@@ -374,25 +386,45 @@ def search_certificate(
     system is consistent; None when every admissible degree fails (the graph
     may be k-colorable, or d_max too small -- this search does not decide).
     Raises ValueError for a field that is not prime or a negative d_max.
+
+    A certificate for a subgraph is one for g of the same degree, since its
+    generators are among g's.  So when g has a (k+1)-clique C and is not
+    K_{k+1} itself, each degree first solves K_{k+1}'s system, whose
+    vertices are all twins; if that is feasible, its certificate relabelled
+    onto C (the lexicographically first such clique) is g's, every smaller
+    degree having been proven infeasible on g.  Otherwise g's own system is
+    solved at that degree.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("certificate search needs a prime field")
     if d_max is not None and d_max < 0:
         raise ValueError(f"degree bound must be nonnegative, got {d_max}")
     _check_characteristic(field, k)
-    chunks = twin_chunks(g, field.p)
+    # Each degree tries these (graph, chunks, clique to relabel onto) in
+    # turn: K_{k+1} onto g's clique, then g itself.
+    tries = [(g, twin_chunks(g, field.p), None)]
+    clique = find_clique(g, k + 1) if g.n > k + 1 else None
+    if clique is not None:
+        core = complete_graph(k + 1)
+        tries.insert(0, (core, twin_chunks(core, field.p), clique))
     infeasible: list[int] = []
     for d in admissible_degrees(k, _degree_bound(k, d_max)):
-        system = assemble_system(g, k, field, d, chunks)
-        solution = solve_system(system)
+        for host, chunks, onto in tries:
+            system = assemble_system(host, k, field, d, chunks)
+            solution = solve_system(system)
+            if solution is not None:
+                break
         if progress is not None:
-            status = "infeasible" if solution is None else "certificate found"
+            where = "" if onto is None else " on clique " + "-".join(map(str, onto))
+            status = "infeasible" if solution is None else f"certificate found{where}"
             progress(
                 f"degree {d}: {status} "
                 f"({system.n_cols} column orbits, {len(system.row_monomials)} row orbits, "
                 f"group order {system.group_order})"
             )
         if solution is not None:
+            if onto is not None:
+                solution = _relabel(solution, onto)
             betas = {e: _raw(field, terms) for e, terms in sorted(solution.items())}
             return Certificate(field, k, betas, None, tuple(infeasible))
         infeasible.append(d)

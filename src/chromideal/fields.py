@@ -85,9 +85,6 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
     def is_zero(self, a: int) -> bool:
         return a == 0
 
@@ -134,9 +131,6 @@ class RationalField:
         if b == 0:
             raise ZeroDivisionError("inversion of zero")
         return Fraction(a) / b
-
-    def pow(self, a, e: int):
-        return Fraction(a) ** e
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -194,6 +194,39 @@ def perfect_elimination_order(g: Graph) -> tuple[EliminationRecord, ...] | None:
     return tuple(records) if not adj else None
 
 
+def find_clique(g: Graph, size: int) -> list[int] | None:
+    """The lexicographically first clique of `size` vertices, as a sorted
+    list, or None when g has none.
+
+    Depth-first search over the cliques in lexicographic order: a clique
+    grows only by a vertex after its last one, taken from its candidates
+    (the later vertices adjacent to every member) in ascending order, and
+    the candidates of the grown clique are the old ones intersected with
+    the new vertex's later neighbors.  Candidates are int bitsets, and a
+    branch is cut once fewer candidates remain than vertices are missing.
+    """
+    if size < 0:
+        raise ValueError("clique size must be nonnegative")
+    later = [sum(1 << w for w in g._adj[v] if w > v) for v in range(g.n + 1)]
+
+    def extend(clique: list[int], cand: int) -> list[int] | None:
+        need = size - len(clique)
+        if need == 0:
+            return clique
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            grown = cand & later[w]
+            if grown.bit_count() >= need - 1:
+                found = extend(clique + [w], grown)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], sum(1 << v for v in g.vertices))
+
+
 def random_chordal(n: int, k_max_clique: int, seed: int) -> Graph:
     """Seeded chordal graph: each new vertex is glued onto an existing clique
     of size below k_max_clique, i.e. built along a reverse elimination order.

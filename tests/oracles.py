@@ -11,6 +11,10 @@ s_polynomial and on the dict-built monomial lcm and divisibility of
 dict_product.py.  Budgets make the completion fail loudly instead of
 hanging.
 
+search_without_core is certificate search on the host graph's own
+systems alone, the reference for the clique-core answers of
+search_certificate.
+
 The rest evaluate polynomials at points, build lex and graded lex orders
 from a variable list, compute elementary symmetric values and test
 simpliciality by the definition, for the tests' identities and
@@ -22,7 +26,16 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
+from chromideal.certificates import (
+    Certificate,
+    admissible_degrees,
+    assemble_system,
+    solve_system,
+    twin_chunks,
+)
+from chromideal.fields import PrimeField
 from chromideal.graphs import EliminationRecord, Graph
 from chromideal.oracle import buchberger_criterion
 from chromideal.poly import (
@@ -128,6 +141,27 @@ def reduce_basis(basis) -> GroebnerBasis:
     return GroebnerBasis(tuple(reduced), order, peo=basis.peo)
 
 
+def search_without_core(g: Graph, k: int, field: PrimeField,
+                        d_max: int | None = None) -> Certificate | None:
+    """search_certificate without its (k+1)-clique core: g's own system,
+    over g's twin chunks, at each admissible degree up to d_max (default
+    3k + 1) until one is feasible."""
+    chunks = twin_chunks(g, field.p)
+    infeasible = []
+    for d in admissible_degrees(k, 3 * k + 1 if d_max is None else d_max):
+        solution = solve_system(assemble_system(g, k, field, d, chunks))
+        if solution is not None:
+            betas = {e: Polynomial(field, terms) for e, terms in sorted(solution.items())}
+            return Certificate(field, k, betas, None, tuple(infeasible))
+        infeasible.append(d)
+    return None
+
+
+def _power(field, a, e: int):
+    """a ** e in field: pow(a, e, p) over GF(p), Fraction ** e over QQ."""
+    return pow(a, e, field.p) if isinstance(field, PrimeField) else Fraction(a) ** e
+
+
 def evaluate(p: Polynomial, assignment: Mapping[int, object]):
     """Exact value of p at a total assignment of its variables."""
     f = p.field
@@ -138,7 +172,7 @@ def evaluate(p: Polynomial, assignment: Mapping[int, object]):
         for v, e in m.exps:
             if v not in vals:
                 raise ValueError(f"unbound variable x{v}")
-            acc = f.mul(acc, f.pow(vals[v], e))
+            acc = f.mul(acc, _power(f, vals[v], e))
         total = f.add(total, acc)
     return total
 
@@ -151,7 +185,7 @@ def substitute(p: Polynomial, assignment: Mapping[int, object]) -> Polynomial:
     for m, c in p.terms.items():
         for v, e in m.exps:
             if v in vals:
-                c = f.mul(c, f.pow(vals[v], e))
+                c = f.mul(c, _power(f, vals[v], e))
         plugged.append((Monomial([(v, e) for v, e in m.exps if v not in vals]), c))
     return _raw(f, _add_terms(f, {}, plugged))
 

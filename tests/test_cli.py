@@ -234,6 +234,48 @@ def test_cert_odd_wheel_w11_degree_one_infeasible_over_gf5(capsys, tmp_path):
     assert code == 1 and doc["certificate"] is None and doc["infeasible_degrees"] == [1]
 
 
+def planted_k4(tmp_path, n):
+    """A seeded 3-colorable graph with n vertices and 2n edges, plus a K_4
+    on vertices 1-4."""
+    rng = random.Random(1)
+    color = [rng.randrange(3) for _ in range(n + 1)]
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if color[u] != color[v]]
+    k4_edges = {(u, v) for u in range(1, 5) for v in range(u + 1, 5)}
+    return write_dimacs(tmp_path / f"planted{n}.col",
+                        Graph(n, set(rng.sample(pairs, 2 * n)) | k4_edges))
+
+
+@pytest.mark.parametrize("p, degree, infeasible, lines", [
+    ("2", 1, [], ["degree 1: certificate found on clique 1-2-3-4 "
+                  "(24 column orbits, 17 row orbits, group order 1)"]),
+    ("5", 4, [1], ["degree 1: infeasible (7500 column orbits, 10213 row orbits, group order 1)",
+                   "degree 4: certificate found on clique 1-2-3-4 "
+                   "(10 column orbits, 5 row orbits, group order 24)"]),
+])
+def test_cert_on_a_planted_k4_answers_from_the_clique(capsys, tmp_path, monkeypatch,
+                                                      p, degree, infeasible, lines):
+    """Over GF(5) the graph's own degree-4 system passes the fill budget;
+    the K_4 answers at degree 4 instead, and verify-cert accepts its
+    certificate as one for the whole graph."""
+    import io
+
+    code = main(["cert", "--k", "3", "--p", p, "--lift", planted_k4(tmp_path, 60)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err.splitlines() == lines
+    doc = json.loads(captured.out)
+    assert doc["degree"] == degree and doc["infeasible_degrees"] == infeasible
+    monkeypatch.setattr("sys.stdin", io.StringIO(captured.out))
+    code, verdict = run_json(capsys, "verify-cert", "-")
+    assert code == 0 and verdict["valid"] is True
+
+
+def test_cert_below_the_clique_degree_exits_1(capsys, tmp_path):
+    code, doc = run_json(capsys, "cert", "--k", "3", "--p", "5", "--d-max", "3",
+                         planted_k4(tmp_path, 60))
+    assert code == 1 and doc["kind"] == "certificate_search"
+    assert doc["certificate"] is None and doc["infeasible_degrees"] == [1]
+
+
 def test_gb_verify_round_trip(capsys, triangle, tmp_path):
     code, out = run(capsys, "gb", "--k", "3", triangle)
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from chromideal.graphs import (
     ParseError,
     _adj_is_simplicial,
     complete_graph,
+    find_clique,
     load_graph,
     parse_dimacs,
     parse_edge_list,
@@ -300,3 +302,35 @@ def test_random_chordal_pinned_outputs():
     assert random_chordal(10, 4, 2).edges() == [
         (1, 2), (1, 6), (1, 7), (2, 3), (2, 6), (2, 7), (3, 4), (3, 5), (3, 8), (3, 9),
         (4, 5), (4, 8), (4, 9), (4, 10), (5, 8), (5, 9), (6, 7), (8, 10)]
+
+
+# --- cliques -------------------------------------------------------------------
+
+def first_clique_by_brute_force(g, size):
+    for c in itertools.combinations(g.vertices, size):
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(c, 2)):
+            return list(c)
+    return None
+
+
+def test_find_clique_is_the_lexicographically_first():
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        for size in range(n + 2):
+            assert find_clique(g, size) == first_clique_by_brute_force(g, size), (g.edges(), size)
+
+
+def test_find_clique_examples():
+    assert find_clique(complete_graph(5), 3) == [1, 2, 3]
+    assert find_clique(complete_graph(5), 6) is None
+    assert find_clique(cycle(5), 3) is None
+    assert find_clique(cycle(5), 2) == [1, 2]
+    assert find_clique(Graph(0), 0) == []
+    # the triangle 2-5-6 comes before 3-4-5 in lexicographic order
+    g = Graph(6, [(3, 4), (4, 5), (3, 5), (2, 5), (2, 6), (5, 6), (1, 4)])
+    assert find_clique(g, 3) == [2, 5, 6]
+    with pytest.raises(ValueError):
+        find_clique(g, -1)

@@ -147,15 +147,19 @@ def cycle(n):
     return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
+def planted_cells():
+    rng = random.Random(9)
+    return [(planted(n, k, rng), k, p) for n, k, p in
+            [(7, 3, 5), (8, 3, 7), (9, 3, 5), (6, 4, 3), (6, 4, 5), (6, 4, 7), (9, 3, 2)]]
+
+
 def certificate_cells():
     # the complete-graph cells of the benchmark grid, then planted graphs,
     # then an odd wheel of the grid (no twins: 924 columns and 1,051 rows at
     # degree 1 over GF(2))
     cells = [(complete_graph(n), k, p) for n, k, p in
              [(4, 3, 2), (4, 3, 5), (4, 3, 7), (5, 4, 3), (5, 4, 5), (5, 4, 7), (6, 5, 2)]]
-    rng = random.Random(9)
-    cells += [(planted(n, k, rng), k, p) for n, k, p in
-              [(7, 3, 5), (8, 3, 7), (9, 3, 5), (6, 4, 3), (6, 4, 5), (6, 4, 7), (9, 3, 2)]]
+    cells += planted_cells()
     cells.append((wheel(21), 3, 2))
     return cells
 
@@ -169,6 +173,23 @@ def test_search_certificate_matches_full_elimination(g, k, p, monkeypatch):
     assert cert is not None and full is not None
     assert (cert.degree, cert.infeasible_degrees) == (full.degree, full.infeasible_degrees)
     assert cert.edge_coeffs == full.edge_coeffs
+
+
+@pytest.mark.parametrize("g, k, p", planted_cells())
+def test_kernels_match_on_the_plain_system_at_the_found_degree(g, k, p):
+    """search_certificate answers the planted graphs from their K_{k+1}, so
+    the kernels meet the graphs' own wide plain systems here: at the found
+    degree, where they are solvable because the clique's certificate is
+    one of their solutions."""
+    d = search_certificate(g, k, GF(p)).degree
+    system = assemble_system(g, k, GF(p), d)
+    args = (system.col_rows, [0])
+    expected = full_solve_listed(*args, GF(p))
+    assert expected is not None
+    assert solve_sparse(*args, GF(p)) == expected
+    if p == 2:
+        n_rows = len(system.row_monomials)
+        assert solve_gf2(n_rows, *args) == full_solve_gf2(n_rows, *args)
 
 
 @pytest.mark.parametrize("d", admissible_degrees(3, 7))
